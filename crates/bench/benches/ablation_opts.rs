@@ -21,7 +21,7 @@ fn bench(c: &mut Criterion) {
         ("memory/fig3-optimized", Scheme::OnlineMemOpt),
     ];
     for (label, scheme) in pairs {
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(*scheme));
+        let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(*scheme).build());
         let mut ws = plan.make_workspace();
         let x = uniform_signal(n, 42);
         let mut xin = x.clone();

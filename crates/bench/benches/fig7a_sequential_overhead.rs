@@ -16,7 +16,7 @@ fn bench(c: &mut Criterion) {
         Scheme::OnlineComp,
         Scheme::OnlineCompOpt,
     ] {
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(scheme));
+        let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(scheme).build());
         let mut ws = plan.make_workspace();
         let x = uniform_signal(n, 42);
         let mut xin = x.clone();

@@ -9,7 +9,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7b_memory_overhead");
     group.sample_size(10);
     for scheme in [Scheme::Plain, Scheme::OfflineMem, Scheme::OnlineMem, Scheme::OnlineMemOpt] {
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(scheme));
+        let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(scheme).build());
         let mut ws = plan.make_workspace();
         let x = uniform_signal(n, 42);
         let mut xin = x.clone();

@@ -41,7 +41,7 @@ fn bench(c: &mut Criterion) {
         (Scheme::OnlineMemOpt, "1m+2c"),
     ];
     for (scheme, case) in cases {
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(*scheme));
+        let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(*scheme).build());
         let mut ws = plan.make_workspace();
         let x = uniform_signal(n, 42);
         let mut xin = x.clone();

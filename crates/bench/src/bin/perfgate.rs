@@ -9,7 +9,7 @@
 //!    records what the planner's heuristic picks), (b) the unprotected
 //!    two-layer scheme ("FFTW" baseline), (c) the paper's Opt-Online(m)
 //!    protected scheme with the fused SIMD checksum path, and (d) the same
-//!    scheme with `FtConfig::fused` pinned off (the PR-2-era separate
+//!    scheme with `PlanSpec::fused` pinned off (the PR-2-era separate
 //!    gather-then-checksum passes) — so the fusion gain is a measured
 //!    column, not a claim.
 //! 2. **CCG kernel bench** — the fused SIMD gather+checksum
@@ -22,7 +22,7 @@
 //!    ([`ftfft_bench::time_streaming`]): plain vs Opt-Online(m), scheduled
 //!    at 1 worker vs `N` workers.
 //! 5. **Parallel-strategy matrix** — the two-halves parallel DIT
-//!    (`FftPlan::new_parallel`) against the serial radix-2 plan it is
+//!    (`FftSpec::with_strategy(Parallel)`) against the serial radix-2 plan it is
 //!    bitwise-identical to, plus what the `FTFFT_STRATEGY=auto` heuristic
 //!    would pick at this `(n, threads)`.
 //! 6. **Service workload** — the multi-tenant [`FftService`] driven by

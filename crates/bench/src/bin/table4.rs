@@ -26,8 +26,11 @@ fn main() {
     );
 
     for dist in [SignalDist::Uniform, SignalDist::Normal] {
-        let cfg = FtConfig::new(Scheme::OnlineCompOpt).with_sigma0(dist.component_std_dev());
-        let plan = FtFftPlan::new(n, Direction::Forward, cfg);
+        let spec = PlanSpec::builder(n)
+            .scheme(Scheme::OnlineCompOpt)
+            .sigma0(dist.component_std_dev())
+            .build();
+        let plan = FtFftPlan::from_spec(&spec);
         let th = *plan.thresholds();
         let mut ws = plan.make_workspace();
         let (k, m) = (plan.two().k(), plan.two().m());

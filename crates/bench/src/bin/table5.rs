@@ -57,7 +57,7 @@ fn main() {
         } else {
             [Site::InputMemory, Site::IntermediateMemory, Site::OutputMemory]
         };
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(scheme));
+        let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(scheme).build());
         let mut ws = plan.make_workspace();
         print!("{label:<12}");
         for site in sites {

@@ -60,7 +60,7 @@ fn main() {
 
     // Clean reference per seed signal.
     let signal = uniform_signal(n, 1);
-    let plain = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::Plain));
+    let plain = FtFftPlan::from_spec(&PlanSpec::builder(n).build());
     let mut clean = vec![Complex64::ZERO; n];
     {
         let mut x = signal.clone();
@@ -91,8 +91,8 @@ fn main() {
     for (label, scheme, retries) in
         [("Offline", Scheme::OfflineMem, 3u32), ("Online", Scheme::OnlineMemOpt, 3u32)]
     {
-        let cfg = FtConfig::new(scheme).with_max_retries(retries);
-        let plan = FtFftPlan::new(n, Direction::Forward, cfg);
+        let spec = PlanSpec::builder(n).scheme(scheme).max_retries(retries).build();
+        let plan = FtFftPlan::from_spec(&spec);
         let mut ws = plan.make_workspace();
         let mut row = Row::new();
         for seed in 0..runs as u64 {

@@ -110,13 +110,7 @@ pub fn gflops(n: usize, secs: f64) -> f64 {
 
 /// Times one sequential scheme at size `n` (median of `runs`).
 pub fn time_scheme(n: usize, scheme: Scheme, runs: usize) -> f64 {
-    time_scheme_cfg(n, FtConfig::new(scheme), runs)
-}
-
-/// Times one sequential scheme with an explicit config (median of `runs`)
-/// — the hook the perf harness uses to A/B `FtConfig::fused`.
-pub fn time_scheme_cfg(n: usize, cfg: FtConfig, runs: usize) -> f64 {
-    time_scheme_spec(&PlanSpec::from_config(n, Direction::Forward, cfg), runs)
+    time_scheme_spec(&PlanSpec::builder(n).scheme(scheme).build(), runs)
 }
 
 /// Times one sequential scheme from a full [`PlanSpec`] (median of
@@ -139,8 +133,8 @@ pub fn time_scheme_spec(spec: &PlanSpec, runs: usize) -> f64 {
 /// Times the pooled batched executor: `batch` back-to-back `n`-point
 /// Opt-Online(m) transforms on `threads` workers (median of `runs`).
 pub fn time_pooled_batch(n: usize, threads: usize, batch: usize, runs: usize) -> f64 {
-    let cfg = FtConfig::new(Scheme::OnlineMemOpt).with_threads(threads);
-    let pooled = PooledFtFft::new(FtFftPlan::new(n, Direction::Forward, cfg));
+    let spec = PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).threads(threads).build();
+    let pooled = PooledFtFft::new(FtFftPlan::from_spec(&spec));
     let mut ws = pooled.make_batch_workspace();
     let src = uniform_signal(n * batch, 42);
     let mut xs = src.clone();
@@ -157,7 +151,8 @@ pub fn time_pooled_batch(n: usize, threads: usize, batch: usize, runs: usize) ->
 /// over `threads` workers by the [`FrameScheduler`] (median of `runs`).
 /// The perf harness' frames/sec column divides `frames` by this.
 pub fn time_streaming(n: usize, scheme: Scheme, threads: usize, frames: usize, runs: usize) -> f64 {
-    let plan = StftPlan::new(n, n / 2, Window::Hann, FtConfig::new(scheme));
+    let plan =
+        StftPlan::from_spec(&PlanSpec::builder(n).scheme(scheme).build(), n / 2, Window::Hann);
     let sched = FrameScheduler::new(Some(threads));
     let mut wss = sched.make_stft_workspaces(&plan);
     let len = plan.signal_len(frames);
@@ -295,7 +290,7 @@ pub fn time_scheme_with_faults(
     runs: usize,
     make_faults: impl Fn() -> Vec<ScriptedFault>,
 ) -> f64 {
-    let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(scheme));
+    let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(scheme).build());
     let mut ws = plan.make_workspace();
     let x = uniform_signal(n, 42);
     let mut xin = x.clone();

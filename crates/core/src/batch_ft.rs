@@ -26,7 +26,7 @@
 //! members, each under the plan's self-verifying Opt-Online repair plan
 //! so a recomputed member is itself protected; a checksum-side fault
 //! re-runs just that combine + FFT. Every repair is re-verified by the
-//! next round of the detection loop, bounded by `cfg.max_retries`.
+//! next round of the detection loop, bounded by the spec's `max_retries`.
 //!
 //! Per-member [`FtReport`] attribution: member `j`'s report carries its
 //! own `comp_detected`/`full_recomputed` (plus whatever its repair run
@@ -232,8 +232,8 @@ pub(crate) fn run(
     // variance, so their round-off floor scales with ‖w‖₂ (§8 model
     // extended to the batch identity), times the plan's empirical scale.
     let (w1sq, w2sq) = batch_weight_norms_sq(b);
-    let (eta1, eta2) = batch_thresholds(n, plan.cfg().sigma0, w1sq, w2sq);
-    let scale = plan.cfg().threshold_scale;
+    let (eta1, eta2) = batch_thresholds(n, plan.spec().sigma0(), w1sq, w2sq);
+    let scale = plan.spec().threshold_scale();
     let (eta1, eta2) = (eta1 * scale, eta2 * scale);
 
     // Verify → localize → repair → re-verify, bounded by max_retries.
@@ -285,12 +285,12 @@ pub(crate) fn run(
             // Unreachable in practice — the side-1 scan and the localizer
             // apply the same η₁ to the same residuals — but harmless.
             BatchVerdict::Clean => break,
-            BatchVerdict::Members(members) if attempt < plan.cfg().max_retries => {
+            BatchVerdict::Members(members) if attempt < plan.spec().max_retries() => {
                 for &j in &members {
                     repair_member(plan, xs, outs, injectors, reports, &mut bw, j);
                 }
             }
-            BatchVerdict::ChecksumSide(side) if attempt < plan.cfg().max_retries => {
+            BatchVerdict::ChecksumSide(side) if attempt < plan.spec().max_retries() => {
                 // No member data is wrong; redo the implicated checksum
                 // path and charge the batch leader.
                 reports[0].comp_detected = reports[0].comp_detected.saturating_add(1);
@@ -301,7 +301,7 @@ pub(crate) fn run(
                     compute_side2(plan, xs, injectors, ctx, &mut bw, &mut s);
                 }
             }
-            BatchVerdict::Ambiguous if attempt < plan.cfg().max_retries => {
+            BatchVerdict::Ambiguous if attempt < plan.spec().max_retries() => {
                 // No single-member explanation: recompute every member
                 // under the self-verifying repair plan *and* rebuild both
                 // checksum transforms.

@@ -2,7 +2,6 @@
 //! [`PlanSpec`] every protected plan is built from.
 
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use ftfft_fft::{Direction, FftSpec, Layout, Pow2Kernel, Strategy};
 use ftfft_numeric::{simd_level, SimdLevel};
@@ -120,41 +119,19 @@ impl Scheme {
 }
 
 /// Environment variable selecting the *default* protection scheme
-/// (consulted by [`PlanSpec::from_env_overrides`]): any [`Scheme::name`]
-/// (`-`/`_` interchangeable); `auto` and the empty string defer. Like the
-/// planner's `FTFFT_*` knobs it fills the default only — a spec whose
-/// scheme was set to anything other than [`Scheme::Plain`] is never
-/// overridden, so protected A/B harnesses and scheme-specific tests keep
-/// their explicit choices while `FTFFT_SCHEME=batch` re-runs every
-/// default-configured (plain) plan under batch protection.
+/// (consulted by [`PlanSpec::resolve`]): any [`Scheme::name`] (`-`/`_`
+/// interchangeable); `auto` and the empty string defer. Like the planner's
+/// `FTFFT_*` knobs it fills the default only — a spec whose scheme was set
+/// to anything other than [`Scheme::Plain`] is never overridden, so
+/// protected A/B harnesses and scheme-specific tests keep their explicit
+/// choices while `FTFFT_SCHEME=batch` re-runs every default-configured
+/// (plain) plan under batch protection.
 pub const SCHEME_ENV: &str = "FTFFT_SCHEME";
 
-/// 0 = no override, else 1 + index into [`Scheme::ALL`].
-static FORCED_SCHEME: AtomicU8 = AtomicU8::new(0);
-
-/// Process-wide default-scheme override: `Some(s)` makes every
-/// subsequently-resolved spec whose scheme is still [`Scheme::Plain`]
-/// use `s` regardless of [`SCHEME_ENV`] (`None` re-enables env).
-/// Intended for tests — mutating the process environment is racy under
-/// the parallel test runner.
-pub fn force_scheme(scheme: Option<Scheme>) {
-    let v = match scheme {
-        None => 0,
-        Some(s) => {
-            1 + Scheme::ALL.iter().position(|x| *x == s).expect("scheme is in Scheme::ALL") as u8
-        }
-    };
-    FORCED_SCHEME.store(v, Ordering::Relaxed);
-}
-
-/// The override tier of default-scheme resolution: a [`force_scheme`]
-/// pin first, then [`SCHEME_ENV`] (panicking on an unknown name — a
-/// silent typo would invalidate a forced-scheme CI leg).
-fn scheme_env_or_forced() -> Option<Scheme> {
-    match FORCED_SCHEME.load(Ordering::Relaxed) {
-        0 => {}
-        v => return Some(Scheme::ALL[(v - 1) as usize]),
-    }
+/// The env tier of default-scheme resolution: [`SCHEME_ENV`] when set
+/// (panicking on an unknown name — a silent typo would invalidate a
+/// `FTFFT_SCHEME` CI leg), `None` when the default should stand.
+fn scheme_env_override() -> Option<Scheme> {
     match std::env::var(SCHEME_ENV) {
         Ok(v) => match v.to_ascii_lowercase().as_str() {
             "auto" | "" => None,
@@ -210,102 +187,6 @@ impl FusedPolicy {
             FusedPolicy::Auto => layout == Layout::Aos && count >= 16,
         }
     }
-
-    /// Layout-blind resolution: [`resolve_for`](Self::resolve_for) with
-    /// the conservative AoS threshold.
-    pub fn resolve(self, count: usize) -> bool {
-        self.resolve_for(count, Layout::Aos)
-    }
-}
-
-/// Executor configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct FtConfig {
-    /// Scheme to run.
-    pub scheme: Scheme,
-    /// Bound on recomputations of any one protected part before the run is
-    /// declared uncorrectable (the paper's `while` loops retry forever;
-    /// transient-fault semantics make a small bound equivalent).
-    pub max_retries: u32,
-    /// Input component standard deviation σ₀ used by the threshold model
-    /// (1/√3 for the paper's `U(-1,1)` workload).
-    pub sigma0: f64,
-    /// Multiplier applied to all model thresholds (empirical calibration).
-    pub threshold_scale: f64,
-    /// Explicit first-layer count `k` (None = balanced split).
-    pub split_k: Option<usize>,
-    /// Second-part batch size `s` (k-point FFTs per verification group in
-    /// the memory hierarchies).
-    pub batch_s: usize,
-    /// Fused gather+checksum policy (§4.4 single-pass buffering,
-    /// SIMD-accumulated): [`FusedPolicy::Auto`] resolves per sub-FFT size;
-    /// `Always`/`Never` pin it — the perf harness' A/B switch.
-    pub fused: FusedPolicy,
-    /// Worker count for the pooled executors (`ftfft_parallel::PooledFtFft`):
-    /// `None` defers to the `FTFFT_THREADS` environment variable, falling
-    /// back to the machine's available parallelism. Plain `execute` ignores
-    /// this and stays single-threaded.
-    pub threads: Option<usize>,
-}
-
-impl FtConfig {
-    /// Defaults for a scheme: 3 retries, `U(-1,1)` σ₀, no scaling, balanced
-    /// split, `s = 8`.
-    pub fn new(scheme: Scheme) -> Self {
-        FtConfig {
-            scheme,
-            max_retries: 3,
-            sigma0: (1.0f64 / 3.0).sqrt(),
-            threshold_scale: 1.0,
-            split_k: None,
-            batch_s: 8,
-            fused: FusedPolicy::Auto,
-            threads: None,
-        }
-    }
-
-    /// Overrides the input σ₀.
-    pub fn with_sigma0(mut self, sigma0: f64) -> Self {
-        self.sigma0 = sigma0;
-        self
-    }
-
-    /// Overrides the threshold scale factor.
-    pub fn with_threshold_scale(mut self, s: f64) -> Self {
-        self.threshold_scale = s;
-        self
-    }
-
-    /// Overrides the split.
-    pub fn with_split_k(mut self, k: usize) -> Self {
-        self.split_k = Some(k);
-        self
-    }
-
-    /// Overrides the retry bound.
-    pub fn with_max_retries(mut self, r: u32) -> Self {
-        self.max_retries = r;
-        self
-    }
-
-    /// Pins the fused gather+checksum hot path on (`Always`) or off
-    /// (`Never`), bypassing the per-size heuristic.
-    pub fn with_fused(mut self, fused: bool) -> Self {
-        self.fused = if fused { FusedPolicy::Always } else { FusedPolicy::Never };
-        self
-    }
-
-    /// Sets the fused-path policy directly.
-    pub fn with_fused_policy(mut self, policy: FusedPolicy) -> Self {
-        self.fused = policy;
-        self
-    }
-
-    /// Pins the pooled-executor worker count (overrides `FTFFT_THREADS`).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
 }
 
 /// The canonical description of a protected FFT plan — size, direction,
@@ -315,8 +196,8 @@ impl FtConfig {
 /// the stream plans) or to the `ftfft-service` layer, which uses the
 /// resolved spec as its plan-cache key.
 ///
-/// Unset knobs resolve in the fixed order **explicit builder > env/forced
-/// override > heuristic**, applied once at plan-build time by
+/// Unset knobs resolve in the fixed order **explicit builder > `FTFFT_*`
+/// env > heuristic**, applied once at plan-build time by
 /// [`PlanSpec::resolve`] — a built plan never re-reads the environment.
 /// `Hash`/`Eq` are bit-exact (the `f64` threshold knobs compare by bits),
 /// so two specs are equal exactly when they build interchangeable plans.
@@ -335,53 +216,65 @@ pub struct PlanSpec {
     /// spec records it so cache keys and telemetry distinguish runs, not
     /// to steer per-plan dispatch — that is process-wide by design).
     simd: Option<SimdLevel>,
+    /// Bound on recomputations of any one protected part before the run is
+    /// declared uncorrectable (the paper's `while` loops retry forever;
+    /// transient-fault semantics make a small bound equivalent).
     max_retries: u32,
+    /// Second-part batch size `s` (k-point FFTs per verification group in
+    /// the memory hierarchies).
     batch_s: usize,
+    /// Explicit first-layer count `k` (`None` = balanced split).
     split_k: Option<usize>,
+    /// Input component standard deviation σ₀ used by the threshold model
+    /// (1/√3 for the paper's `U(-1,1)` workload).
     sigma0: f64,
+    /// Multiplier applied to all model thresholds (empirical calibration).
     threshold_scale: f64,
 }
 
 impl PlanSpec {
     /// Starts a builder for an `n`-point forward transform of the
-    /// unprotected [`Scheme::Plain`]; every other knob starts at the
-    /// [`FtConfig::new`] defaults.
+    /// unprotected [`Scheme::Plain`] with the paper's defaults: 3 retries,
+    /// the `U(-1,1)` σ₀ = 1/√3, unscaled thresholds, balanced split,
+    /// `s = 8`, per-size fused policy, and every planner knob unset.
     pub fn builder(n: usize) -> PlanSpecBuilder {
         PlanSpecBuilder {
-            spec: PlanSpec::from_config(n, Direction::Forward, FtConfig::new(Scheme::Plain)),
+            spec: PlanSpec {
+                n,
+                dir: Direction::Forward,
+                scheme: Scheme::Plain,
+                kernel: None,
+                layout: None,
+                strategy: None,
+                threads: None,
+                fused: FusedPolicy::Auto,
+                simd: None,
+                max_retries: 3,
+                batch_s: 8,
+                split_k: None,
+                sigma0: (1.0f64 / 3.0).sqrt(),
+                threshold_scale: 1.0,
+            },
         }
     }
 
-    /// Bridges a legacy [`FtConfig`] into a spec — what the thin
-    /// `FtFftPlan::new`-style wrappers call.
-    pub fn from_config(n: usize, dir: Direction, cfg: FtConfig) -> PlanSpec {
-        PlanSpec {
-            n,
-            dir,
-            scheme: cfg.scheme,
-            kernel: None,
-            layout: None,
-            strategy: None,
-            threads: cfg.threads,
-            fused: cfg.fused,
-            simd: None,
-            max_retries: cfg.max_retries,
-            batch_s: cfg.batch_s,
-            split_k: cfg.split_k,
-            sigma0: cfg.sigma0,
-            threshold_scale: cfg.threshold_scale,
-        }
-    }
-
-    /// The env/forced tier, and the **single point where the `FTFFT_*`
-    /// environment enters protected-plan resolution**: fills every
-    /// still-unset planner knob from `FTFFT_KERNEL` / `FTFFT_LAYOUT` /
-    /// `FTFFT_STRATEGY` / `FTFFT_THREADS` (via [`FftSpec::from_env_overrides`],
-    /// which also honors the `force_*` test overrides) and records the
-    /// `FTFFT_SIMD`-resolved dispatch level. Explicit builder choices are
-    /// never overwritten; knobs with no override stay unset for the
-    /// per-sub-plan heuristics.
-    pub fn from_env_overrides(mut self) -> PlanSpec {
+    /// Canonical resolution, applied exactly once at plan-build time and
+    /// the **single point where the `FTFFT_*` environment enters
+    /// protected-plan resolution**: fills every still-unset planner knob
+    /// from `FTFFT_KERNEL` / `FTFFT_LAYOUT` / `FTFFT_STRATEGY` /
+    /// `FTFFT_THREADS` (via [`FftSpec::from_env_overrides`]), records the
+    /// `FTFFT_SIMD`-resolved dispatch level, and lets [`SCHEME_ENV`] fill
+    /// the default scheme. Explicit builder choices are never
+    /// overwritten.
+    ///
+    /// The remaining `None` knobs are deliberate — they mean "per-sub-plan
+    /// heuristic", which the decomposition applies per sub-FFT *size*
+    /// through [`FftSpec::resolve`] when each sub-plan is built. Because
+    /// those heuristics are pure functions of (size, resolved knobs), two
+    /// specs that are equal after `resolve` build bitwise-interchangeable
+    /// plans — which is why the service layer keys its plan cache on the
+    /// resolved spec.
+    pub fn resolve(mut self) -> PlanSpec {
         let f = self.fft_template().from_env_overrides();
         self.kernel = f.kernel;
         self.layout = f.layout;
@@ -389,28 +282,15 @@ impl PlanSpec {
         self.threads = f.threads;
         self.simd = self.simd.or_else(|| Some(simd_level()));
         // The scheme knob has no unset state, so [`Scheme::Plain`] (the
-        // builder default) is what "unset" looks like: `FTFFT_SCHEME` /
-        // `force_scheme` fill it, and any explicitly-protected choice
-        // wins over the environment like every other knob.
+        // builder default) is what "unset" looks like: `FTFFT_SCHEME`
+        // fills it, and any explicitly-protected choice wins over the
+        // environment like every other knob.
         if self.scheme == Scheme::Plain {
-            if let Some(s) = scheme_env_or_forced() {
+            if let Some(s) = scheme_env_override() {
                 self.scheme = s;
             }
         }
         self
-    }
-
-    /// Canonical resolution: [`PlanSpec::from_env_overrides`] applied
-    /// exactly once, at plan-build time. The remaining `None` knobs are
-    /// deliberate — they mean "per-sub-plan heuristic", which the
-    /// decomposition applies per sub-FFT *size* through
-    /// [`FftSpec::resolve`] when each sub-plan is built. Because those
-    /// heuristics are pure functions of (size, resolved knobs), two specs
-    /// that are equal after `resolve` build bitwise-interchangeable plans
-    /// — which is why the service layer keys its plan cache on the
-    /// resolved spec.
-    pub fn resolve(self) -> PlanSpec {
-        self.from_env_overrides()
     }
 
     /// The raw-FFT half of this spec: the template every sub-FFT of the
@@ -423,20 +303,6 @@ impl PlanSpec {
             kernel: self.kernel,
             layout: self.layout,
             strategy: self.strategy,
-            threads: self.threads,
-        }
-    }
-
-    /// Reconstructs the executor configuration this spec describes.
-    pub fn ft_config(&self) -> FtConfig {
-        FtConfig {
-            scheme: self.scheme,
-            max_retries: self.max_retries,
-            sigma0: self.sigma0,
-            threshold_scale: self.threshold_scale,
-            split_k: self.split_k,
-            batch_s: self.batch_s,
-            fused: self.fused,
             threads: self.threads,
         }
     }
@@ -623,9 +489,8 @@ impl PlanSpecBuilder {
         self
     }
 
-    /// Pins the fused gather+checksum hot path on or off, mirroring
-    /// [`FtConfig::with_fused`]: `true` maps to [`FusedPolicy::Always`],
-    /// `false` to [`FusedPolicy::Never`]. The per-size default
+    /// Pins the fused gather+checksum hot path on or off: `true` maps to
+    /// [`FusedPolicy::Always`], `false` to [`FusedPolicy::Never`]. The per-size default
     /// ([`FusedPolicy::Auto`]) is only reachable by *not* calling this —
     /// or explicitly via [`PlanSpecBuilder::fused_policy`].
     pub fn fused(self, fused: bool) -> Self {
@@ -697,22 +562,23 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let c = FtConfig::new(Scheme::OnlineMemOpt)
-            .with_sigma0(1.0)
-            .with_threshold_scale(2.0)
-            .with_split_k(64)
-            .with_max_retries(5)
-            .with_fused(false)
-            .with_threads(4);
-        assert_eq!(c.sigma0, 1.0);
-        assert_eq!(c.threshold_scale, 2.0);
-        assert_eq!(c.split_k, Some(64));
-        assert_eq!(c.max_retries, 5);
-        assert_eq!(c.fused, FusedPolicy::Never);
-        assert_eq!(c.threads, Some(4));
-        assert_eq!(FtConfig::new(Scheme::Plain).fused, FusedPolicy::Auto);
-        assert_eq!(FtConfig::new(Scheme::Plain).with_fused(true).fused, FusedPolicy::Always);
-        assert_eq!(FtConfig::new(Scheme::Plain).with_threads(0).threads, Some(1));
+        // The builder starts from the paper's defaults, bit-exact: a
+        // drifted default would shift every threshold or retry bound of a
+        // plan that never set it.
+        let spec = PlanSpec::builder(64).build();
+        assert_eq!(spec.direction(), Direction::Forward);
+        assert_eq!(spec.scheme(), Scheme::Plain);
+        assert_eq!(spec.max_retries(), 3);
+        assert_eq!(spec.sigma0().to_bits(), (1.0f64 / 3.0).sqrt().to_bits());
+        assert_eq!(spec.threshold_scale(), 1.0);
+        assert_eq!(spec.batch_s(), 8);
+        assert_eq!(spec.split_k(), None);
+        assert_eq!(spec.fused(), FusedPolicy::Auto);
+        assert_eq!(spec.threads(), None);
+        assert_eq!((spec.kernel(), spec.layout(), spec.strategy()), (None, None, None));
+        assert_eq!(spec.simd(), None);
+        // A pinned worker count is at least one.
+        assert_eq!(PlanSpec::builder(64).threads(0).build().threads(), Some(1));
     }
 
     #[test]
@@ -727,21 +593,7 @@ mod tests {
     }
 
     #[test]
-    fn forced_scheme_fills_default_but_never_explicit() {
-        // Plain is the builder default, so it is what the env/forced tier
-        // fills; an explicitly-protected spec is never overridden.
-        force_scheme(Some(Scheme::BatchChecksum));
-        assert_eq!(PlanSpec::builder(64).build().resolve().scheme(), Scheme::BatchChecksum);
-        assert_eq!(
-            PlanSpec::builder(64).scheme(Scheme::OnlineMemOpt).build().resolve().scheme(),
-            Scheme::OnlineMemOpt
-        );
-        force_scheme(None);
-        // Back on the env tier: the default resolves to FTFFT_SCHEME when
-        // the suite runs under a forced-scheme CI leg, Plain otherwise.
-        let env_default = scheme_env_or_forced().unwrap_or(Scheme::Plain);
-        assert_eq!(PlanSpec::builder(64).build().resolve().scheme(), env_default);
-        // with_scheme swaps the scheme and nothing else.
+    fn with_scheme_swaps_only_the_scheme() {
         let spec = PlanSpec::builder(64).scheme(Scheme::BatchChecksum).split_k(8).build();
         let repair = spec.with_scheme(Scheme::OnlineCompOpt);
         assert_eq!(repair.scheme(), Scheme::OnlineCompOpt);
@@ -777,45 +629,35 @@ mod tests {
         assert_eq!(spec.threshold_scale(), 2.0);
         assert_eq!(spec.split_k(), Some(64));
         assert_eq!(spec.batch_s(), 16);
-        let cfg = spec.ft_config();
-        assert_eq!(cfg.scheme, Scheme::OnlineMemOpt);
-        assert_eq!(cfg.fused, FusedPolicy::Auto);
-        assert_eq!(cfg.split_k, Some(64));
-        assert_eq!(cfg.threads, Some(4));
     }
 
     #[test]
     fn builder_fused_bool_maps_to_always_never() {
-        // The documented with_fused(bool) contract, on both APIs:
-        // true → Always, false → Never, untouched → Auto.
+        // The documented fused(bool) contract: true → Always,
+        // false → Never, untouched → Auto.
         assert_eq!(PlanSpec::builder(8).fused(true).build().fused(), FusedPolicy::Always);
         assert_eq!(PlanSpec::builder(8).fused(false).build().fused(), FusedPolicy::Never);
         assert_eq!(PlanSpec::builder(8).build().fused(), FusedPolicy::Auto);
-        assert_eq!(FtConfig::new(Scheme::Plain).with_fused(true).fused, FusedPolicy::Always);
-        assert_eq!(FtConfig::new(Scheme::Plain).with_fused(false).fused, FusedPolicy::Never);
-        // Auto is reachable without env vars through either policy setter.
+        // Auto is reachable without env vars through the policy setter.
         assert_eq!(
-            FtConfig::new(Scheme::Plain)
-                .with_fused(false)
-                .with_fused_policy(FusedPolicy::Auto)
-                .fused,
+            PlanSpec::builder(8).fused(false).fused_policy(FusedPolicy::Auto).build().fused(),
             FusedPolicy::Auto
         );
     }
 
     #[test]
-    fn spec_precedence_explicit_beats_forced_beats_heuristic() {
-        use ftfft_fft::force_layout;
-        // Heuristic tier: nothing set, nothing forced — resolution leaves
-        // the knob for the per-sub-plan heuristic.
-        let heuristic = PlanSpec::builder(1 << 12).build();
-        // Env/forced tier beats heuristic…
-        force_layout(Some(Layout::Aos));
-        assert_eq!(heuristic.resolve().layout(), Some(Layout::Aos));
-        // …but never an explicit builder choice.
-        let explicit = PlanSpec::builder(1 << 12).layout(Layout::Soa).build();
-        assert_eq!(explicit.resolve().layout(), Some(Layout::Soa));
-        force_layout(None);
+    fn spec_precedence_explicit_beats_env_beats_heuristic() {
+        // Unset: resolution takes the env tier (`FTFFT_LAYOUT`, when the
+        // suite runs under a layout CI leg) and otherwise leaves the knob
+        // for the per-sub-plan heuristic.
+        let unset = PlanSpec::builder(1 << 12).build();
+        assert_eq!(unset.resolve().layout(), Layout::env_override());
+        // An explicit builder choice is never overwritten, whichever
+        // layout the env asks for.
+        for layout in Layout::ALL {
+            let explicit = PlanSpec::builder(1 << 12).layout(layout).build();
+            assert_eq!(explicit.resolve().layout(), Some(layout));
+        }
     }
 
     #[test]
@@ -855,11 +697,11 @@ mod tests {
 
     #[test]
     fn fused_policy_resolution() {
-        assert!(FusedPolicy::Always.resolve(1));
-        assert!(!FusedPolicy::Never.resolve(1 << 20));
-        assert!(!FusedPolicy::Auto.resolve(8));
-        assert!(FusedPolicy::Auto.resolve(16));
-        assert!(FusedPolicy::Auto.resolve(1 << 10));
+        assert!(FusedPolicy::Always.resolve_for(1, Layout::Aos));
+        assert!(!FusedPolicy::Never.resolve_for(1 << 20, Layout::Aos));
+        assert!(!FusedPolicy::Auto.resolve_for(8, Layout::Aos));
+        assert!(FusedPolicy::Auto.resolve_for(16, Layout::Aos));
+        assert!(FusedPolicy::Auto.resolve_for(1 << 10, Layout::Aos));
     }
 
     #[test]
@@ -876,7 +718,5 @@ mod tests {
             assert!(FusedPolicy::Always.resolve_for(1, layout));
             assert!(!FusedPolicy::Never.resolve_for(1 << 20, layout));
         }
-        // The layout-blind form is the conservative AoS threshold.
-        assert_eq!(FusedPolicy::Auto.resolve(8), FusedPolicy::Auto.resolve_for(8, Layout::Aos));
     }
 }

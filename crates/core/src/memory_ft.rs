@@ -102,7 +102,7 @@ pub(crate) fn run(
             rep.comp_detected += 1;
             rep.subfft_recomputed += 1;
             attempts += 1;
-            if attempts > plan.cfg().max_retries {
+            if attempts > plan.spec().max_retries() {
                 rep.uncorrectable += 1;
                 break;
             }
@@ -141,7 +141,7 @@ pub(crate) fn run(
     // FFTs (their checksums are additive), so a detected error triggers
     // the recalculation of the whole group — the paper's "one error only
     // leads to a recalculation of … s k-point FFTs".
-    let s = plan.cfg().batch_s.max(1);
+    let s = plan.spec().batch_s().max(1);
     debug_assert!(ws.group_out.len() >= s * k);
     let eta_group = th.eta2 * (s as f64).sqrt();
     let mut j2_start = 0usize;
@@ -202,7 +202,7 @@ pub(crate) fn run(
             rep.comp_detected += 1;
             rep.subfft_recomputed += group.len() as u32;
             attempts += 1;
-            if attempts > plan.cfg().max_retries {
+            if attempts > plan.spec().max_retries() {
                 rep.uncorrectable += 1;
                 break;
             }
@@ -240,13 +240,13 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FtConfig, Scheme};
+    use crate::config::{PlanSpec, Scheme};
     use ftfft_fault::{FaultKind, NoFaults, ScriptedFault, ScriptedInjector};
     use ftfft_fft::{dft_naive, Direction};
     use ftfft_numeric::{max_abs_diff, uniform_signal};
 
     fn run_mem(n: usize, inj: &dyn FaultInjector) -> (Vec<Complex64>, FtReport) {
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMem));
+        let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineMem).build());
         let mut x = uniform_signal(n, 13);
         let mut out = vec![Complex64::ZERO; n];
         let mut ws = plan.make_workspace();
@@ -341,9 +341,8 @@ mod tests {
     #[test]
     fn batch_s_one_recomputes_single_subfft() {
         let n = 1024;
-        let cfg = FtConfig::new(Scheme::OnlineMem).with_max_retries(3);
-        let cfg = FtConfig { batch_s: 1, ..cfg };
-        let plan = FtFftPlan::new(n, Direction::Forward, cfg);
+        let spec = PlanSpec::builder(n).scheme(Scheme::OnlineMem).max_retries(3).batch_s(1).build();
+        let plan = FtFftPlan::from_spec(&spec);
         let inj = ScriptedInjector::new(vec![ScriptedFault::new(
             Site::SubFftCompute { part: Part::Second, index: 20 },
             3,
@@ -361,8 +360,9 @@ mod tests {
     #[test]
     fn larger_batch_recomputes_whole_group() {
         let n = 1024;
-        let cfg = FtConfig { batch_s: 4, ..FtConfig::new(Scheme::OnlineMem) };
-        let plan = FtFftPlan::new(n, Direction::Forward, cfg);
+        let plan = FtFftPlan::from_spec(
+            &PlanSpec::builder(n).scheme(Scheme::OnlineMem).batch_s(4).build(),
+        );
         let inj = ScriptedInjector::new(vec![ScriptedFault::new(
             Site::SubFftCompute { part: Part::Second, index: 9 },
             3,

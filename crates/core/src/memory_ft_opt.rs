@@ -191,7 +191,7 @@ pub(crate) fn run(
                         mem_fixed = true;
                         x[n1 + index * k] -= delta;
                         rep.subfft_recomputed += 1;
-                        if attempts > plan.cfg().max_retries {
+                        if attempts > plan.spec().max_retries() {
                             rep.uncorrectable += 1;
                             break;
                         }
@@ -206,7 +206,7 @@ pub(crate) fn run(
                 }
             }
             rep.subfft_recomputed += 1;
-            if attempts > plan.cfg().max_retries {
+            if attempts > plan.spec().max_retries() {
                 rep.uncorrectable += 1;
                 break;
             }
@@ -294,7 +294,7 @@ pub(crate) fn run(
                         mem_fixed = true;
                         ws.y[index * m + j2] -= delta;
                         rep.subfft_recomputed += 1;
-                        if attempts > plan.cfg().max_retries {
+                        if attempts > plan.spec().max_retries() {
                             rep.uncorrectable += 1;
                             break;
                         }
@@ -309,7 +309,7 @@ pub(crate) fn run(
                 }
             }
             rep.subfft_recomputed += 1;
-            if attempts > plan.cfg().max_retries {
+            if attempts > plan.spec().max_retries() {
                 rep.uncorrectable += 1;
                 break;
             }
@@ -364,13 +364,13 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FtConfig, Scheme};
+    use crate::config::{PlanSpec, Scheme};
     use ftfft_fault::{FaultKind, NoFaults, ScriptedFault, ScriptedInjector};
     use ftfft_fft::{dft_naive, Direction};
     use ftfft_numeric::{max_abs_diff, uniform_signal};
 
     fn run_opt(n: usize, inj: &dyn FaultInjector) -> (Vec<Complex64>, FtReport) {
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
+        let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build());
         let mut x = uniform_signal(n, 21);
         let mut out = vec![Complex64::ZERO; n];
         let mut ws = plan.make_workspace();

@@ -97,7 +97,7 @@ pub(crate) fn run(
         }
         rep.full_recomputed += 1;
         attempts += 1;
-        if attempts > plan.cfg().max_retries {
+        if attempts > plan.spec().max_retries() {
             rep.uncorrectable += 1;
             break;
         }
@@ -112,13 +112,13 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FtConfig, Scheme};
+    use crate::config::{PlanSpec, Scheme};
     use ftfft_fault::{FaultKind, NoFaults, ScriptedFault, ScriptedInjector};
     use ftfft_fft::dft_naive;
     use ftfft_numeric::{max_abs_diff, uniform_signal};
 
     fn run_scheme(scheme: Scheme, n: usize, inj: &dyn FaultInjector) -> (Vec<Complex64>, FtReport) {
-        let plan = FtFftPlan::new(n, ftfft_fft::Direction::Forward, FtConfig::new(scheme));
+        let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(scheme).build());
         let mut x = uniform_signal(n, 77);
         let mut out = vec![Complex64::ZERO; n];
         let mut ws = plan.make_workspace();

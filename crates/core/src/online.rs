@@ -143,7 +143,7 @@ pub fn part1_row(
         rep.comp_detected += 1;
         rep.subfft_recomputed += 1;
         attempts += 1;
-        if attempts > plan.cfg().max_retries {
+        if attempts > plan.spec().max_retries() {
             rep.uncorrectable += 1;
             break;
         }
@@ -209,7 +209,7 @@ pub fn part2_col(
         rep.comp_detected += 1;
         rep.subfft_recomputed += 1;
         attempts += 1;
-        if attempts > plan.cfg().max_retries {
+        if attempts > plan.spec().max_retries() {
             rep.uncorrectable += 1;
             break;
         }
@@ -304,13 +304,13 @@ pub(crate) fn run_comp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FtConfig, Scheme};
+    use crate::config::{PlanSpec, Scheme};
     use ftfft_fault::{FaultKind, NoFaults, ScriptedFault, ScriptedInjector};
     use ftfft_fft::{dft_naive, Direction};
     use ftfft_numeric::{max_abs_diff, uniform_signal};
 
     fn run_scheme(scheme: Scheme, n: usize, inj: &dyn FaultInjector) -> (Vec<Complex64>, FtReport) {
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(scheme));
+        let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(scheme).build());
         let mut x = uniform_signal(n, 5);
         let mut out = vec![Complex64::ZERO; n];
         let mut ws = plan.make_workspace();
@@ -332,7 +332,8 @@ mod tests {
     }
 
     fn plan_checks(n: usize) -> u32 {
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineCompOpt));
+        let plan =
+            FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineCompOpt).build());
         (plan.two().k() + plan.two().m()) as u32
     }
 

@@ -7,20 +7,19 @@ use ftfft_numeric::Complex64;
 use ftfft_roundoff::{scaled, thresholds_for_split, Thresholds};
 
 use crate::batch_ft::{self, BatchWorkspace};
-use crate::config::{FtConfig, PlanSpec, Scheme};
+use crate::config::{PlanSpec, Scheme};
 use crate::report::FtReport;
 use crate::{memory_ft, memory_ft_opt, offline, online};
 
-/// A reusable fault-tolerant FFT plan for one `(n, direction, config)`.
+/// A reusable fault-tolerant FFT plan for one resolved [`PlanSpec`].
 ///
 /// ```
-/// use ftfft_core::{FtConfig, FtFftPlan, Scheme};
+/// use ftfft_core::{FtFftPlan, PlanSpec, Scheme};
 /// use ftfft_fault::NoFaults;
-/// use ftfft_fft::Direction;
 /// use ftfft_numeric::uniform_signal;
 ///
 /// let n = 1 << 10;
-/// let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
+/// let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build());
 /// let mut x = uniform_signal(n, 42);
 /// let mut out = vec![ftfft_numeric::Complex64::ZERO; n];
 /// let mut ws = plan.make_workspace();
@@ -28,14 +27,13 @@ use crate::{memory_ft, memory_ft_opt, offline, online};
 /// assert!(report.is_clean());
 /// ```
 pub struct FtFftPlan {
-    cfg: FtConfig,
     n: usize,
     dir: Direction,
     two: TwoLayerPlan,
     thresholds: Thresholds,
-    /// `cfg.fused` resolved for the m-element part-1 columns.
+    /// `spec.fused()` resolved for the m-element part-1 columns.
     fused_part1: bool,
-    /// `cfg.fused` resolved for the k-element part-2 columns.
+    /// `spec.fused()` resolved for the k-element part-2 columns.
     fused_part2: bool,
     /// The resolved spec this plan was built from (env overrides already
     /// applied) — the canonical cache key for plan-sharing layers.
@@ -92,7 +90,7 @@ pub struct Workspace {
 }
 
 impl FtFftPlan {
-    /// Plans the protected transform described by `spec` — the primary
+    /// Plans the protected transform described by `spec` — the only
     /// constructor. The spec is resolved here (env overrides applied
     /// exactly once, at build time); its pinned kernel/layout/strategy
     /// knobs propagate into every sub-FFT of the decomposition through a
@@ -104,39 +102,29 @@ impl FtFftPlan {
     /// `n`.
     pub fn from_spec(spec: &PlanSpec) -> Self {
         let spec = spec.resolve();
-        let cfg = spec.ft_config();
         let (n, dir) = (spec.n(), spec.direction());
         let planner = Planner::with_spec(spec.fft_template());
-        let two = match cfg.split_k {
+        let two = match spec.split_k() {
             Some(k) => TwoLayerPlan::with_split(&planner, n, k, dir),
             None => TwoLayerPlan::new(&planner, n, dir),
         };
-        let thresholds =
-            scaled(thresholds_for_split(n, two.k(), two.m(), cfg.sigma0), cfg.threshold_scale);
+        let thresholds = scaled(
+            thresholds_for_split(n, two.k(), two.m(), spec.sigma0()),
+            spec.threshold_scale(),
+        );
         // Resolve the fused policy per (size, layout) of each sub-plan:
         // part 1 gathers m-element columns into the inner (m-point) plan,
         // part 2 gathers k-element columns into the outer (k-point) plan,
         // and the SoA fused path has a lower break-even than the AoS one.
-        let fused_part1 = cfg.fused.resolve_for(two.m(), two.inner_plan().layout());
-        let fused_part2 = cfg.fused.resolve_for(two.k(), two.outer_plan().layout());
+        let fused_part1 = spec.fused().resolve_for(two.m(), two.inner_plan().layout());
+        let fused_part2 = spec.fused().resolve_for(two.k(), two.outer_plan().layout());
         // Batch plans carry a per-transform Opt-Online sibling over the
         // same resolved spec: the repair path for implicated members and
         // the fallback when a batch never fills. Opt-Online is never
         // BatchChecksum itself, so the recursion is one level deep.
-        let repair = (cfg.scheme == Scheme::BatchChecksum).then(|| {
-            Box::new(FtFftPlan::from_spec(&spec.with_scheme(Scheme::OnlineCompOpt)))
-        });
-        FtFftPlan { cfg, n, dir, two, thresholds, fused_part1, fused_part2, spec, repair }
-    }
-
-    /// Plans a protected transform of size `n` — a thin wrapper bridging
-    /// `cfg` into a [`PlanSpec`] (see [`PlanSpec::from_config`]) for
-    /// [`FtFftPlan::from_spec`].
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or an explicit `split_k` does not divide `n`.
-    pub fn new(n: usize, dir: Direction, cfg: FtConfig) -> Self {
-        Self::from_spec(&PlanSpec::from_config(n, dir, cfg))
+        let repair = (spec.scheme() == Scheme::BatchChecksum)
+            .then(|| Box::new(FtFftPlan::from_spec(&spec.with_scheme(Scheme::OnlineCompOpt))));
+        FtFftPlan { n, dir, two, thresholds, fused_part1, fused_part2, spec, repair }
     }
 
     /// The resolved spec this plan was built from — equal specs (after
@@ -154,11 +142,6 @@ impl FtFftPlan {
     /// Transform direction.
     pub fn dir(&self) -> Direction {
         self.dir
-    }
-
-    /// Configuration this plan was built with.
-    pub fn cfg(&self) -> &FtConfig {
-        &self.cfg
     }
 
     /// The underlying two-layer decomposition.
@@ -180,7 +163,7 @@ impl FtFftPlan {
     }
 
     /// Whether part-1 (m-element) checksum gathers run the fused
-    /// single-pass path — `cfg.fused` resolved per size at plan time.
+    /// single-pass path — `spec.fused()` resolved per size at plan time.
     #[inline]
     pub fn fused_part1(&self) -> bool {
         self.fused_part1
@@ -199,10 +182,9 @@ impl FtFftPlan {
     pub fn make_workspace(&self) -> Workspace {
         let (k, m) = (self.two.k(), self.two.m());
         let lane = k.max(m);
-        let offline =
-            matches!(self.cfg.scheme, Scheme::OfflineNaive | Scheme::Offline | Scheme::OfflineMem);
-        let group =
-            if self.cfg.scheme == Scheme::OnlineMem { self.cfg.batch_s.max(1) * k } else { 0 };
+        let scheme = self.spec.scheme();
+        let offline = matches!(scheme, Scheme::OfflineNaive | Scheme::Offline | Scheme::OfflineMem);
+        let group = if scheme == Scheme::OnlineMem { self.spec.batch_s().max(1) * k } else { 0 };
         Workspace {
             y: vec![Complex64::ZERO; self.n],
             buf: vec![Complex64::ZERO; lane],
@@ -224,7 +206,7 @@ impl FtFftPlan {
             ck1: vec![Complex64::ZERO; k],
             ck2: vec![Complex64::ZERO; k],
             group_out: vec![Complex64::ZERO; group],
-            batch: (self.cfg.scheme == Scheme::BatchChecksum)
+            batch: (scheme == Scheme::BatchChecksum)
                 .then(|| Box::new(BatchWorkspace::for_plan(self))),
         }
     }
@@ -244,7 +226,7 @@ impl FtFftPlan {
     ) -> FtReport {
         assert_eq!(x.len(), self.n, "input length mismatch");
         assert_eq!(out.len(), self.n, "output length mismatch");
-        match self.cfg.scheme {
+        match self.spec.scheme() {
             Scheme::Plain => {
                 let mut s = TwoLayerScratch {
                     y: std::mem::take(&mut ws.y),
@@ -313,7 +295,7 @@ impl FtFftPlan {
             xs.len(),
             self.n
         );
-        if self.cfg.scheme == Scheme::BatchChecksum {
+        if self.spec.scheme() == Scheme::BatchChecksum {
             let b = xs.len() / self.n;
             if b == 0 {
                 return FtReport::new();
@@ -360,7 +342,7 @@ impl FtFftPlan {
         ws: &mut Workspace,
     ) {
         assert_eq!(
-            self.cfg.scheme,
+            self.spec.scheme(),
             Scheme::BatchChecksum,
             "execute_batch_members requires a BatchChecksum plan"
         );

@@ -23,11 +23,11 @@ use ftfft_fft::real::{pack_real, repack_spectrum, split_twiddles, unpack_real, u
 use ftfft_fft::Direction;
 use ftfft_numeric::Complex64;
 
-use crate::config::{FtConfig, PlanSpec};
+use crate::config::PlanSpec;
 use crate::plan::{FtFftPlan, Workspace};
 use crate::report::FtReport;
 
-/// A reusable protected real-input FFT plan for one `(n, direction, config)`.
+/// A reusable protected real-input FFT plan for one resolved [`PlanSpec`].
 ///
 /// A `Forward` plan maps `n` real samples to the `n/2 + 1` non-redundant
 /// bins (unnormalized); an `Inverse` plan maps bins back to samples
@@ -81,16 +81,6 @@ impl RealFtFftPlan {
             plan: FtFftPlan::from_spec(&spec.with_n(n / 2)),
             w: split_twiddles(n, dir),
         }
-    }
-
-    /// Plans a protected real transform of even size `n ≥ 4` — a thin
-    /// wrapper bridging `cfg` into a [`PlanSpec`] for
-    /// [`RealFtFftPlan::from_spec`].
-    ///
-    /// # Panics
-    /// Panics if `n` is odd or smaller than 4.
-    pub fn new(n: usize, dir: Direction, cfg: FtConfig) -> Self {
-        Self::from_spec(&PlanSpec::from_config(n, dir, cfg))
     }
 
     /// Signal length `n`.
@@ -249,7 +239,7 @@ mod tests {
         let xc: Vec<Complex64> = x.iter().map(|&r| c64(r, 0.0)).collect();
         let want = dft_naive(&xc, Direction::Forward);
         for scheme in Scheme::ALL {
-            let plan = RealFtFftPlan::new(n, Direction::Forward, FtConfig::new(scheme));
+            let plan = RealFtFftPlan::from_spec(&PlanSpec::builder(n).scheme(scheme).build());
             let mut ws = plan.make_workspace();
             let mut spec = vec![Complex64::ZERO; plan.spectrum_len()];
             let rep = plan.forward(&x, &mut spec, &NoFaults, &mut ws);
@@ -269,7 +259,8 @@ mod tests {
     fn protected_round_trip_under_faults() {
         let n = 512;
         let x = real_signal(n, 9);
-        let fwd = RealFtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
+        let fwd =
+            RealFtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build());
         let mut wsf = fwd.make_workspace();
         let mut spec = vec![Complex64::ZERO; fwd.spectrum_len()];
         let inj = ScriptedInjector::new(vec![ScriptedFault::new(
@@ -286,10 +277,12 @@ mod tests {
         // default) — the same calibration every spectral pipeline does.
         let sigma =
             (spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / (2.0 * spec.len() as f64)).sqrt();
-        let inv = RealFtFftPlan::new(
-            n,
-            Direction::Inverse,
-            FtConfig::new(Scheme::OnlineMemOpt).with_sigma0(sigma),
+        let inv = RealFtFftPlan::from_spec(
+            &PlanSpec::builder(n)
+                .direction(Direction::Inverse)
+                .scheme(Scheme::OnlineMemOpt)
+                .sigma0(sigma)
+                .build(),
         );
         let mut wsi = inv.make_workspace();
         let mut back = vec![0.0; n];
@@ -305,7 +298,8 @@ mod tests {
         let n = 128;
         let frames = 3;
         let xs = real_signal(n * frames, 4);
-        let plan = RealFtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineCompOpt));
+        let plan =
+            RealFtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineCompOpt).build());
 
         let mut batch_ws = plan.make_workspace_for(frames);
         let mut batched = vec![Complex64::ZERO; frames * plan.spectrum_len()];
@@ -323,7 +317,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "even length")]
     fn odd_length_rejected() {
-        let _ = RealFtFftPlan::new(7, Direction::Forward, FtConfig::new(Scheme::Plain));
+        let _ = RealFtFftPlan::from_spec(&PlanSpec::builder(7).build());
     }
 
     #[test]
@@ -331,14 +325,12 @@ mod tests {
         // The packed half-size protected transform inherits the layout
         // knob through its sub-plans; flipping it must not move a bit of
         // the spectrum or the report, even while a fault is corrected.
-        use ftfft_fft::{force_layout, Layout};
+        use ftfft_fft::Layout;
         let n = 512;
         let x = real_signal(n, 6);
         let run = |layout: Layout| {
-            force_layout(Some(layout));
-            let plan =
-                RealFtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
-            force_layout(None);
+            let spec = PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).layout(layout).build();
+            let plan = RealFtFftPlan::from_spec(&spec);
             let inj = ScriptedInjector::new(vec![ScriptedFault::new(
                 Site::SubFftCompute { part: Part::First, index: 3 },
                 2,

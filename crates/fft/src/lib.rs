@@ -54,8 +54,8 @@ pub use mixed::MixedPlan;
 pub use naive::dft_naive;
 pub use parallel_dit::{chunk_range, resolve_threads, ParallelDitPlan, THREADS_ENV};
 pub use planner::{
-    batch_break_even, fft, force_layout, force_strategy, ifft, FftPlan, FftSpec, Layout, Planner,
-    Pow2Kernel, Strategy, KERNEL_ENV, LAYOUT_ENV, PARALLEL_MIN, STRATEGY_ENV,
+    batch_break_even, fft, ifft, FftPlan, FftSpec, Layout, Planner, Pow2Kernel, Strategy,
+    KERNEL_ENV, LAYOUT_ENV, PARALLEL_MIN, STRATEGY_ENV,
 };
 pub use real::{irfft, rfft, RealFftPlan};
 pub use three_layer::{ThreeLayerPlan, ThreeLayerScratch};

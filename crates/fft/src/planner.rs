@@ -9,7 +9,6 @@
 //! decomposition) are planned exactly once.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -21,11 +20,9 @@ use crate::mixed::MixedPlan;
 use crate::parallel_dit::{resolve_threads, ParallelDitPlan};
 use crate::radix2::fft_radix2_inplace;
 use crate::radix4::fft_radix4_inplace;
-use crate::soa::{fft_radix2_soa, fft_radix4_soa, fft_split_radix_soa};
-use crate::split_radix::{fft_split_radix, fft_split_radix_inplace, LEAF_LEN};
-use crate::twiddle_table::{
-    SoaRadix2Twiddles, SoaRadix4Twiddles, SoaSplitRadixTwiddles, TwiddleTable,
-};
+use crate::soa::{fft_radix2_soa, fft_radix4_soa};
+use crate::split_radix::{fft_split_radix, fft_split_radix_inplace};
+use crate::twiddle_table::{SoaRadix2Twiddles, SoaRadix4Twiddles, TwiddleTable};
 use ftfft_numeric::simd;
 use ftfft_numeric::Complex64;
 
@@ -87,17 +84,11 @@ impl Strategy {
         }
     }
 
-    /// The override tier of strategy resolution: a [`force_strategy`]
-    /// pin first, then the `FTFFT_STRATEGY` variable (panicking on an
-    /// unknown name — a silent typo would invalidate an A/B run), `None`
-    /// when neither is set and the heuristic should decide.
-    pub fn env_or_forced() -> Option<Strategy> {
-        match FORCED_STRATEGY.load(Ordering::Relaxed) {
-            1 => return Some(Strategy::Auto),
-            2 => return Some(Strategy::Serial),
-            3 => return Some(Strategy::Parallel),
-            _ => {}
-        }
+    /// The override tier of strategy resolution: the `FTFFT_STRATEGY`
+    /// variable when set (panicking on an unknown name — a silent typo
+    /// would invalidate an A/B run), `None` when the heuristic should
+    /// decide.
+    pub fn env_override() -> Option<Strategy> {
         match std::env::var(STRATEGY_ENV) {
             Ok(v) => Some(
                 Strategy::parse(&v)
@@ -105,12 +96,6 @@ impl Strategy {
             ),
             Err(_) => None,
         }
-    }
-
-    /// The strategy in force: [`Strategy::env_or_forced`] when set,
-    /// [`Strategy::Auto`] otherwise.
-    pub fn choose() -> Strategy {
-        Strategy::env_or_forced().unwrap_or(Strategy::Auto)
     }
 
     /// Whether this strategy routes an `n`-point power-of-two transform
@@ -151,29 +136,6 @@ pub enum Layout {
     Soa,
 }
 
-/// 0 = no override, 1 = aos, 2 = soa.
-static FORCED_LAYOUT: AtomicU8 = AtomicU8::new(0);
-
-/// 0 = no override, 1 = auto, 2 = serial, 3 = parallel.
-static FORCED_STRATEGY: AtomicU8 = AtomicU8::new(0);
-
-/// Process-wide execution-strategy override: `Some(s)` makes every
-/// subsequent plan construction use `s` regardless of `FTFFT_STRATEGY`
-/// (`None` re-enables env + heuristic). Intended for tests that must pin
-/// the serial schedule — e.g. the no-allocation assertions, since the
-/// multi-worker parallel schedule spawns scoped threads per execute by
-/// design. Safe to flip concurrently because both strategies produce
-/// bitwise-identical transforms.
-pub fn force_strategy(strategy: Option<Strategy>) {
-    let v = match strategy {
-        None => 0,
-        Some(Strategy::Auto) => 1,
-        Some(Strategy::Serial) => 2,
-        Some(Strategy::Parallel) => 3,
-    };
-    FORCED_STRATEGY.store(v, Ordering::Relaxed);
-}
-
 impl Layout {
     /// Both layouts, in `BENCH_PR.json` reporting order.
     pub const ALL: [Layout; 2] = [Layout::Aos, Layout::Soa];
@@ -212,16 +174,11 @@ impl Layout {
         }
     }
 
-    /// The override tier of layout resolution: a [`force_layout`] pin
-    /// first, then the `FTFFT_LAYOUT` variable (panicking on an unknown
-    /// name — a silent typo would invalidate an A/B run; `auto` and the
-    /// empty string defer), `None` when the heuristic should decide.
-    pub fn env_or_forced() -> Option<Layout> {
-        match FORCED_LAYOUT.load(Ordering::Relaxed) {
-            1 => return Some(Layout::Aos),
-            2 => return Some(Layout::Soa),
-            _ => {}
-        }
+    /// The override tier of layout resolution: the `FTFFT_LAYOUT`
+    /// variable when set (panicking on an unknown name — a silent typo
+    /// would invalidate an A/B run; `auto` and the empty string defer),
+    /// `None` when the heuristic should decide.
+    pub fn env_override() -> Option<Layout> {
         match std::env::var(LAYOUT_ENV) {
             Ok(v) => match v.to_ascii_lowercase().as_str() {
                 "auto" | "" => None,
@@ -235,33 +192,17 @@ impl Layout {
     }
 
     /// The layout the planner will use for `kernel` at a power-of-two size
-    /// `n`: [`Layout::env_or_forced`] when set, then the heuristic.
+    /// `n` when no layout is pinned: [`Layout::env_override`] when set,
+    /// then the heuristic. The recursive split-radix kernel is AoS-only
+    /// (its strided leaf gathers and conjugate-pair index wraps defeat the
+    /// plane kernels, measured 0.7–1.1× AoS), so it resolves AoS ahead of
+    /// either tier.
     pub fn choose(kernel: Pow2Kernel, n: usize) -> Layout {
-        // The recursive split-radix kernel loses over planes at *every*
-        // measured size (its strided leaf gathers and conjugate-pair index
-        // wraps defeat the plane kernels), so it is pinned AoS here — even
-        // under forcing or the env override — and not just in the
-        // heuristic: the planner must never select a cell that loses to
-        // its sibling. `new_with_kernel_layout` and an explicit
-        // [`FftSpec::layout`] stay un-pinned as the A/B primitives.
         if kernel == Pow2Kernel::SplitRadix {
             return Layout::Aos;
         }
-        Layout::env_or_forced().unwrap_or_else(|| Layout::heuristic(kernel, n))
+        Layout::env_override().unwrap_or_else(|| Layout::heuristic(kernel, n))
     }
-}
-
-/// Forces the layout for subsequently-built power-of-two plans (`None`
-/// re-enables env + heuristic). Intended for tests and the perf harness;
-/// affects the whole process. Safe to flip concurrently because both
-/// layouts produce bitwise-identical transforms.
-pub fn force_layout(layout: Option<Layout>) {
-    let v = match layout {
-        None => 0,
-        Some(Layout::Aos) => 1,
-        Some(Layout::Soa) => 2,
-    };
-    FORCED_LAYOUT.store(v, Ordering::Relaxed);
 }
 
 /// Smallest batch size `B` at which the batch-checksum scheme's cost
@@ -371,12 +312,6 @@ impl Pow2Kernel {
             Err(_) => None,
         }
     }
-
-    /// The kernel the planner will use for size `n`:
-    /// [`Pow2Kernel::env_override`] when set, the heuristic otherwise.
-    pub fn choose(n: usize) -> Pow2Kernel {
-        Pow2Kernel::env_override().unwrap_or_else(|| Pow2Kernel::heuristic(n))
-    }
 }
 
 /// A canonical, hashable description of one FFT plan: size and direction
@@ -385,9 +320,9 @@ impl Pow2Kernel {
 ///
 /// `FftSpec` is the raw-FFT half of the unified spec API; the protected
 /// plans in `ftfft-core` wrap it in a `PlanSpec` that adds the scheme and
-/// threshold knobs. Resolution order is **explicit > env/forced >
-/// heuristic**, applied by [`FftSpec::resolve`] when the plan is built —
-/// after construction a plan never re-reads the environment.
+/// threshold knobs. Resolution order is **explicit > env > heuristic**,
+/// applied by [`FftSpec::resolve`] when the plan is built — after
+/// construction a plan never re-reads the environment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FftSpec {
     /// Transform size (`n ≥ 1`).
@@ -397,13 +332,13 @@ pub struct FftSpec {
     /// Power-of-two kernel; `None` defers to `FTFFT_KERNEL`, then the
     /// size heuristic.
     pub kernel: Option<Pow2Kernel>,
-    /// Data layout; `None` defers to `force_layout`/`FTFFT_LAYOUT`, then
-    /// the size heuristic. An explicit layout is honored verbatim (the
-    /// A/B primitive), including split-radix SoA, which the env and
-    /// heuristic tiers pin away from.
+    /// Data layout; `None` defers to `FTFFT_LAYOUT`, then the size
+    /// heuristic. An explicit layout is honored verbatim (the A/B
+    /// primitive) for the iterative kernels; split-radix resolves AoS in
+    /// every tier (see [`Layout::choose`]).
     pub layout: Option<Layout>,
-    /// Execution strategy; `None` defers to
-    /// `force_strategy`/`FTFFT_STRATEGY`, then [`Strategy::Auto`].
+    /// Execution strategy; `None` defers to `FTFFT_STRATEGY`, then
+    /// [`Strategy::Auto`].
     pub strategy: Option<Strategy>,
     /// Worker count for the parallel strategy; `None` defers to
     /// `FTFFT_THREADS`, then hardware parallelism.
@@ -441,17 +376,17 @@ impl FftSpec {
         self
     }
 
-    /// The env/forced tier of resolution: fills every still-unset knob
-    /// from its `FTFFT_*` variable or `force_*` override (and the thread
-    /// count from `FTFFT_THREADS`/hardware parallelism), leaving knobs
-    /// with no override unset for the heuristic tier. This is the single
-    /// point where the environment enters spec resolution; explicit
-    /// builder choices are never overwritten.
+    /// The env tier of resolution: fills every still-unset knob from its
+    /// `FTFFT_*` variable (and the thread count from `FTFFT_THREADS`, then
+    /// hardware parallelism), leaving knobs with no override unset for
+    /// the heuristic tier. This is the single point where the environment
+    /// enters spec resolution; explicit builder choices are never
+    /// overwritten.
     pub fn from_env_overrides(mut self) -> FftSpec {
         if is_power_of_two(self.n) {
             self.kernel = self.kernel.or_else(Pow2Kernel::env_override);
-            self.layout = self.layout.or_else(Layout::env_or_forced);
-            self.strategy = self.strategy.or_else(Strategy::env_or_forced);
+            self.layout = self.layout.or_else(Layout::env_override);
+            self.strategy = self.strategy.or_else(Strategy::env_override);
         }
         self.threads = self.threads.or_else(|| Some(resolve_threads(None)));
         self
@@ -464,7 +399,6 @@ impl FftSpec {
     /// parallel strategy, all three for non-power-of-two sizes), so equal
     /// resolved specs build identical plans.
     pub fn resolve(self) -> FftSpec {
-        let explicit_layout = self.layout;
         let mut s = self.from_env_overrides();
         if !is_power_of_two(s.n) {
             s.kernel = None;
@@ -487,14 +421,11 @@ impl FftSpec {
         }
         let kernel = s.kernel.unwrap_or_else(|| Pow2Kernel::heuristic_for(s.n, s.layout));
         s.kernel = Some(kernel);
-        s.layout = Some(match explicit_layout {
-            // The builder tier is the A/B primitive: honored verbatim,
-            // even split-radix SoA.
+        s.layout = Some(match s.layout {
+            // Split-radix is AoS-only, whatever the tier asked for.
+            _ if kernel == Pow2Kernel::SplitRadix => Layout::Aos,
             Some(layout) => layout,
-            // Env/forced/heuristic tiers go through `Layout::choose`,
-            // which pins split-radix AoS ahead of them (the planner must
-            // never select a cell that loses to its sibling).
-            None => Layout::choose(kernel, s.n),
+            None => Layout::heuristic(kernel, s.n),
         });
         s
     }
@@ -507,7 +438,6 @@ enum Kernel {
     SplitRadix(TwiddleTable),
     Radix2Soa(SoaRadix2Twiddles),
     Radix4Soa(SoaRadix4Twiddles),
-    SplitRadixSoa(SoaSplitRadixTwiddles),
     Mixed(MixedPlan),
     Bluestein(BluesteinPlan),
     ParallelDit(ParallelDitPlan),
@@ -525,8 +455,8 @@ impl FftPlan {
     /// Plans the transform described by `spec`: unset knobs are filled
     /// from the `FTFFT_*` environment and the planner heuristics by
     /// [`FftSpec::resolve`] — exactly once, here — then the plan is built
-    /// with every choice pinned. This is the primary constructor; the
-    /// legacy constructor zoo forwards here as thin wrappers.
+    /// with every choice pinned. This is the only constructor;
+    /// [`FftPlan::new`] is shorthand for an all-unset spec.
     ///
     /// # Panics
     /// Panics if `spec.n == 0`, or if an explicit kernel/layout is pinned
@@ -541,25 +471,31 @@ impl FftPlan {
             );
         }
         let r = spec.resolve();
-        if is_power_of_two(r.n) {
-            if r.strategy == Some(Strategy::Parallel) {
-                return Self::new_parallel(r.n, r.dir, r.threads.unwrap_or(1));
+        let kernel = if !is_power_of_two(r.n) {
+            if is_smooth(r.n, SMOOTH_LIMIT) {
+                Kernel::Mixed(MixedPlan::new(r.n, r.dir))
+            } else {
+                Kernel::Bluestein(BluesteinPlan::new(r.n, r.dir))
             }
-            Self::new_with_kernel_layout(
-                r.n,
-                r.dir,
-                r.kernel.expect("resolved serial spec pins a kernel"),
-                r.layout.expect("resolved serial spec pins a layout"),
-            )
-        } else if is_smooth(r.n, SMOOTH_LIMIT) {
-            FftPlan { n: r.n, dir: r.dir, kernel: Kernel::Mixed(MixedPlan::new(r.n, r.dir)) }
+        } else if r.strategy == Some(Strategy::Parallel) {
+            Kernel::ParallelDit(ParallelDitPlan::new(r.n, r.dir, r.threads.unwrap_or(1)))
         } else {
-            FftPlan {
-                n: r.n,
-                dir: r.dir,
-                kernel: Kernel::Bluestein(BluesteinPlan::new(r.n, r.dir)),
+            let table = TwiddleTable::new(r.n, r.dir);
+            let pow2 = r.kernel.expect("resolved serial spec pins a kernel");
+            match (pow2, r.layout.expect("resolved serial spec pins a layout")) {
+                (Pow2Kernel::Radix2, Layout::Aos) => Kernel::Radix2(table),
+                (Pow2Kernel::Radix4, Layout::Aos) => Kernel::Radix4(table),
+                (Pow2Kernel::Radix2, Layout::Soa) => {
+                    Kernel::Radix2Soa(SoaRadix2Twiddles::new(&table))
+                }
+                (Pow2Kernel::Radix4, Layout::Soa) => {
+                    Kernel::Radix4Soa(SoaRadix4Twiddles::new(&table))
+                }
+                // Resolution pins split-radix AoS.
+                (Pow2Kernel::SplitRadix, _) => Kernel::SplitRadix(table),
             }
-        }
+        };
+        FftPlan { n: r.n, dir: r.dir, kernel }
     }
 
     /// Plans a transform of size `n ≥ 1` with every knob resolved by the
@@ -570,62 +506,6 @@ impl FftPlan {
     /// serial kernel for the size.
     pub fn new(n: usize, dir: Direction) -> Self {
         Self::from_spec(&FftSpec::new(n, dir))
-    }
-
-    /// Legacy wrapper: an explicit kernel with everything else resolved,
-    /// pinned serial. Prefer [`FftPlan::from_spec`] with
-    /// [`FftSpec::with_kernel`].
-    ///
-    /// # Panics
-    /// Panics if `n` is not a power of two.
-    #[doc(hidden)]
-    pub fn new_with_kernel(n: usize, dir: Direction, kernel: Pow2Kernel) -> Self {
-        assert!(is_power_of_two(n), "explicit kernel {kernel:?} needs a power of two, got {n}");
-        Self::from_spec(&FftSpec::new(n, dir).with_kernel(kernel).with_strategy(Strategy::Serial))
-    }
-
-    /// Plans a power-of-two transform on the two-halves parallel DIT with
-    /// an explicit worker count (bypassing the strategy heuristic and the
-    /// `FTFFT_STRATEGY`/`FTFFT_THREADS` overrides) — the A/B primitive the
-    /// worker-count property tests use. `threads == 1` selects the
-    /// spawn-free inline path. Prefer [`FftPlan::from_spec`] with
-    /// [`FftSpec::with_strategy`] + [`FftSpec::with_threads`].
-    ///
-    /// # Panics
-    /// Panics if `n` is not a power of two.
-    #[doc(hidden)]
-    pub fn new_parallel(n: usize, dir: Direction, threads: usize) -> Self {
-        FftPlan { n, dir, kernel: Kernel::ParallelDit(ParallelDitPlan::new(n, dir, threads)) }
-    }
-
-    /// Plans a power-of-two transform with an explicit kernel *and*
-    /// layout (bypassing every heuristic and override) — the A/B primitive
-    /// the property tests and the perf harness use. Prefer
-    /// [`FftPlan::from_spec`] with [`FftSpec::with_kernel`] +
-    /// [`FftSpec::with_layout`].
-    ///
-    /// # Panics
-    /// Panics if `n` is not a power of two.
-    #[doc(hidden)]
-    pub fn new_with_kernel_layout(
-        n: usize,
-        dir: Direction,
-        kernel: Pow2Kernel,
-        layout: Layout,
-    ) -> Self {
-        assert!(is_power_of_two(n), "explicit kernel {kernel:?} needs a power of two, got {n}");
-        let table = TwiddleTable::new(n, dir);
-        let kernel = match (kernel, layout) {
-            (Pow2Kernel::Radix2, Layout::Aos) => Kernel::Radix2(table),
-            (Pow2Kernel::Radix4, Layout::Aos) => Kernel::Radix4(table),
-            (Pow2Kernel::SplitRadix, Layout::Aos) => Kernel::SplitRadix(table),
-            (Pow2Kernel::Radix2, Layout::Soa) => Kernel::Radix2Soa(SoaRadix2Twiddles::new(&table)),
-            (Pow2Kernel::Radix4, Layout::Soa) => Kernel::Radix4Soa(SoaRadix4Twiddles::new(&table)),
-            (Pow2Kernel::SplitRadix, Layout::Soa) => {
-                Kernel::SplitRadixSoa(SoaSplitRadixTwiddles::new(&table, LEAF_LEN))
-            }
-        };
-        FftPlan { n, dir, kernel }
     }
 
     /// Transform size.
@@ -651,7 +531,7 @@ impl FftPlan {
         match &self.kernel {
             Kernel::Radix2(_) | Kernel::Radix2Soa(_) => Pow2Kernel::Radix2.name(),
             Kernel::Radix4(_) | Kernel::Radix4Soa(_) => Pow2Kernel::Radix4.name(),
-            Kernel::SplitRadix(_) | Kernel::SplitRadixSoa(_) => Pow2Kernel::SplitRadix.name(),
+            Kernel::SplitRadix(_) => Pow2Kernel::SplitRadix.name(),
             Kernel::Mixed(_) => "mixed",
             Kernel::Bluestein(_) => "bluestein",
             Kernel::ParallelDit(_) => "parallel-dit",
@@ -671,7 +551,7 @@ impl FftPlan {
     /// always [`Layout::Aos`]).
     pub fn layout(&self) -> Layout {
         match &self.kernel {
-            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) | Kernel::SplitRadixSoa(_) => Layout::Soa,
+            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) => Layout::Soa,
             _ => Layout::Aos,
         }
     }
@@ -695,7 +575,7 @@ impl FftPlan {
             Kernel::SplitRadix(_) => self.n,
             // SoA kernels stage through two plane pairs carved from
             // ordinary complex scratch (n complex = one n-long plane pair).
-            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) | Kernel::SplitRadixSoa(_) => 2 * self.n,
+            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) => 2 * self.n,
             // Mixed and Bluestein stage an input copy for in-place runs.
             Kernel::Mixed(p) => self.n + p.scratch_len(),
             Kernel::Bluestein(p) => self.n + p.scratch_len(),
@@ -711,7 +591,7 @@ impl FftPlan {
             Kernel::Radix2(t) => fft_radix2_inplace(data, t),
             Kernel::Radix4(t) => fft_radix4_inplace(data, t),
             Kernel::SplitRadix(t) => fft_split_radix_inplace(data, t, scratch),
-            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) | Kernel::SplitRadixSoa(_) => {
+            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) => {
                 let n = self.n;
                 let (a, b) = scratch[..2 * n].split_at_mut(n);
                 let (a_re, a_im) = simd::planes_mut(a);
@@ -748,7 +628,7 @@ impl FftPlan {
                 fft_radix4_inplace(dst, t);
             }
             Kernel::SplitRadix(t) => fft_split_radix(src, dst, t),
-            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) | Kernel::SplitRadixSoa(_) => {
+            Kernel::Radix2Soa(_) | Kernel::Radix4Soa(_) => {
                 let n = self.n;
                 let (a, b) = scratch[..2 * n].split_at_mut(n);
                 let (a_re, a_im) = simd::planes_mut(a);
@@ -781,7 +661,6 @@ impl FftPlan {
         match &self.kernel {
             Kernel::Radix2Soa(tw) => fft_radix2_soa(src_re, src_im, dst_re, dst_im, tw),
             Kernel::Radix4Soa(tw) => fft_radix4_soa(src_re, src_im, dst_re, dst_im, tw),
-            Kernel::SplitRadixSoa(tw) => fft_split_radix_soa(src_re, src_im, dst_re, dst_im, tw),
             _ => panic!(
                 "execute_split needs an SoA-layout plan (this one is {})",
                 self.layout_name()
@@ -900,6 +779,26 @@ mod tests {
     use crate::naive::dft_naive;
     use ftfft_numeric::{max_abs_diff, uniform_signal};
 
+    /// A forward serial plan with the kernel and layout pinned.
+    fn pinned(n: usize, kernel: Pow2Kernel, layout: Layout) -> FftPlan {
+        FftPlan::from_spec(
+            &FftSpec::new(n, Direction::Forward)
+                .with_kernel(kernel)
+                .with_layout(layout)
+                .with_strategy(Strategy::Serial),
+        )
+    }
+
+    /// A forward serial plan with the kernel pinned and the layout left to
+    /// the env and heuristic tiers.
+    fn serial_kernel(n: usize, kernel: Pow2Kernel) -> FftPlan {
+        FftPlan::from_spec(
+            &FftSpec::new(n, Direction::Forward)
+                .with_kernel(kernel)
+                .with_strategy(Strategy::Serial),
+        )
+    }
+
     #[test]
     fn plan_dispatch_matches_naive_for_all_kernel_classes() {
         // radix-2, smooth mixed, bluestein (large prime).
@@ -944,7 +843,7 @@ mod tests {
         for kernel in Pow2Kernel::ALL {
             for n in [2usize, 16, 128, 1024] {
                 let x = uniform_signal(n, n as u64);
-                let plan = FftPlan::new_with_kernel(n, Direction::Forward, kernel);
+                let plan = serial_kernel(n, kernel);
                 assert_eq!(plan.kernel_name(), kernel.name());
                 let mut dst = vec![Complex64::ZERO; n];
                 let mut s = vec![Complex64::ZERO; plan.scratch_len()];
@@ -955,14 +854,8 @@ mod tests {
         }
     }
 
-    /// Serializes the tests that flip the process-global
-    /// [`force_layout`] override *and* assert layout-dependent outcomes,
-    /// so they cannot observe each other's transient pins.
-    static FORCE_LAYOUT_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn heuristic_covers_every_size_class() {
-        let _guard = FORCE_LAYOUT_LOCK.lock();
         assert_eq!(Pow2Kernel::heuristic(2), Pow2Kernel::Radix2);
         assert_eq!(Pow2Kernel::heuristic(8), Pow2Kernel::Radix2);
         assert_eq!(Pow2Kernel::heuristic(16), Pow2Kernel::Radix4);
@@ -970,11 +863,8 @@ mod tests {
         // Large sizes are layout-coupled: with the SoA engine in force
         // (the default), radix-4 over planes beats the AoS split-radix
         // recursion; pinning AoS restores the old split-radix choice.
-        force_layout(Some(Layout::Soa));
-        assert_eq!(Pow2Kernel::heuristic(1 << 16), Pow2Kernel::Radix4);
-        force_layout(Some(Layout::Aos));
-        assert_eq!(Pow2Kernel::heuristic(1 << 16), Pow2Kernel::SplitRadix);
-        force_layout(None);
+        assert_eq!(Pow2Kernel::heuristic_for(1 << 16, Some(Layout::Soa)), Pow2Kernel::Radix4);
+        assert_eq!(Pow2Kernel::heuristic_for(1 << 16, Some(Layout::Aos)), Pow2Kernel::SplitRadix);
     }
 
     #[test]
@@ -1020,10 +910,11 @@ mod tests {
                 let x = uniform_signal(n, n as u64 + 9);
                 let mut outs = Vec::new();
                 for layout in Layout::ALL {
-                    let plan =
-                        FftPlan::new_with_kernel_layout(n, Direction::Forward, kernel, layout);
-                    assert_eq!(plan.layout(), layout);
-                    assert_eq!(plan.supports_split(), layout == Layout::Soa);
+                    let plan = pinned(n, kernel, layout);
+                    // Split-radix is AoS-only: an SoA request builds AoS.
+                    let built = if kernel == Pow2Kernel::SplitRadix { Layout::Aos } else { layout };
+                    assert_eq!(plan.layout(), built);
+                    assert_eq!(plan.supports_split(), built == Layout::Soa);
                     assert_eq!(plan.kernel_name(), kernel.name());
                     let mut dst = vec![Complex64::ZERO; n];
                     let mut s = vec![Complex64::ZERO; plan.scratch_len()];
@@ -1042,8 +933,7 @@ mod tests {
     fn execute_split_skips_boundary_conversion() {
         let n = 1 << 9;
         let x = uniform_signal(n, 31);
-        let plan =
-            FftPlan::new_with_kernel_layout(n, Direction::Forward, Pow2Kernel::Radix4, Layout::Soa);
+        let plan = pinned(n, Pow2Kernel::Radix4, Layout::Soa);
         let mut want = vec![Complex64::ZERO; n];
         let mut s = vec![Complex64::ZERO; plan.scratch_len()];
         plan.execute(&x, &mut want, &mut s);
@@ -1061,12 +951,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "execute_split needs an SoA-layout plan")]
     fn execute_split_rejects_aos_plans() {
-        let plan = FftPlan::new_with_kernel_layout(
-            16,
-            Direction::Forward,
-            Pow2Kernel::Radix2,
-            Layout::Aos,
-        );
+        let plan = pinned(16, Pow2Kernel::Radix2, Layout::Aos);
         let re = vec![0.0; 16];
         let im = vec![0.0; 16];
         let mut dre = vec![0.0; 16];
@@ -1076,10 +961,16 @@ mod tests {
 
     #[test]
     fn split_radix_layout_is_pinned_aos_in_choose() {
-        // The pin precedes the forcing and env checks, so it holds under
-        // any FTFFT_LAYOUT and any concurrent force_layout call.
+        // The pin precedes the env check, so it holds under any
+        // FTFFT_LAYOUT — and resolution applies it to explicit layouts too.
         assert_eq!(Layout::choose(Pow2Kernel::SplitRadix, 1 << 16), Layout::Aos);
         assert_eq!(Layout::choose(Pow2Kernel::SplitRadix, 1 << 20), Layout::Aos);
+        let explicit = FftSpec::new(1 << 16, Direction::Forward)
+            .with_kernel(Pow2Kernel::SplitRadix)
+            .with_layout(Layout::Soa)
+            .with_strategy(Strategy::Serial)
+            .resolve();
+        assert_eq!(explicit.layout, Some(Layout::Aos));
     }
 
     #[test]
@@ -1097,31 +988,19 @@ mod tests {
     }
 
     #[test]
-    fn force_strategy_overrides_env_and_heuristic() {
-        // The override must beat both the heuristic (Auto would say
-        // serial at this tiny size) and whatever FTFFT_STRATEGY the
-        // surrounding test run exported. Restore the default before
-        // returning so concurrent tests see no lasting pin (both
-        // strategies are bitwise-identical, so a transient flip is
-        // harmless to them).
-        force_strategy(Some(Strategy::Parallel));
-        assert_eq!(Strategy::choose(), Strategy::Parallel);
-        force_strategy(Some(Strategy::Serial));
-        assert_eq!(Strategy::choose(), Strategy::Serial);
-        force_strategy(None);
-    }
-
-    #[test]
     fn parallel_plan_dispatches_and_matches_serial_radix2() {
         let n = 1 << 10;
         let x = uniform_signal(n, 5);
-        let serial =
-            FftPlan::new_with_kernel_layout(n, Direction::Forward, Pow2Kernel::Radix2, Layout::Aos);
+        let serial = pinned(n, Pow2Kernel::Radix2, Layout::Aos);
         let mut want = vec![Complex64::ZERO; n];
         let mut s = vec![Complex64::ZERO; serial.scratch_len()];
         serial.execute(&x, &mut want, &mut s);
         for threads in [1usize, 4] {
-            let plan = FftPlan::new_parallel(n, Direction::Forward, threads);
+            let plan = FftPlan::from_spec(
+                &FftSpec::new(n, Direction::Forward)
+                    .with_strategy(Strategy::Parallel)
+                    .with_threads(threads),
+            );
             assert_eq!(plan.kernel_name(), "parallel-dit");
             assert_eq!(plan.layout(), Layout::Aos);
             assert!(!plan.supports_split());
@@ -1150,26 +1029,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_resolution_honors_forced_tier_only_when_unset() {
-        // force_layout sits in the env/forced tier: it fills an unset
-        // layout but must not overwrite an explicit builder layout.
-        let _guard = FORCE_LAYOUT_LOCK.lock();
-        force_layout(Some(Layout::Aos));
-        let forced = FftSpec::new(1 << 12, Direction::Forward)
-            .with_kernel(Pow2Kernel::Radix4)
-            .with_strategy(Strategy::Serial)
-            .resolve();
-        assert_eq!(forced.layout, Some(Layout::Aos));
-        let explicit = FftSpec::new(1 << 12, Direction::Forward)
-            .with_kernel(Pow2Kernel::Radix4)
-            .with_layout(Layout::Soa)
-            .with_strategy(Strategy::Serial)
-            .resolve();
-        assert_eq!(explicit.layout, Some(Layout::Soa));
-        force_layout(None);
-    }
-
-    #[test]
     fn spec_resolution_is_idempotent_and_canonical() {
         for n in [8usize, 1 << 12, 1 << 19, 360, 997] {
             let r = FftSpec::new(n, Direction::Forward).resolve();
@@ -1189,22 +1048,19 @@ mod tests {
     }
 
     #[test]
-    fn from_spec_matches_legacy_constructors() {
+    fn from_spec_builds_the_pinned_kernel_and_worker_count() {
+        // An explicit split-radix spec runs exactly the bare split-radix
+        // kernel, bit for bit.
         let n = 1 << 10;
         let x = uniform_signal(n, 77);
-        let via_spec = FftPlan::from_spec(
-            &FftSpec::new(n, Direction::Forward)
-                .with_kernel(Pow2Kernel::SplitRadix)
-                .with_strategy(Strategy::Serial),
-        );
-        let legacy = FftPlan::new_with_kernel(n, Direction::Forward, Pow2Kernel::SplitRadix);
-        assert_eq!(via_spec.kernel_name(), legacy.kernel_name());
-        assert_eq!(via_spec.layout(), legacy.layout());
+        let plan = serial_kernel(n, Pow2Kernel::SplitRadix);
+        assert_eq!(plan.kernel_name(), "split-radix");
+        assert_eq!(plan.layout(), Layout::Aos);
         let mut a = vec![Complex64::ZERO; n];
+        let mut s = vec![Complex64::ZERO; plan.scratch_len()];
+        plan.execute(&x, &mut a, &mut s);
         let mut b = vec![Complex64::ZERO; n];
-        let mut s = vec![Complex64::ZERO; via_spec.scratch_len().max(legacy.scratch_len())];
-        via_spec.execute(&x, &mut a, &mut s);
-        legacy.execute(&x, &mut b, &mut s);
+        fft_split_radix(&x, &mut b, &TwiddleTable::new(n, Direction::Forward));
         assert_eq!(a, b);
 
         let par_spec = FftPlan::from_spec(
@@ -1251,7 +1107,7 @@ mod tests {
         for kernel in Pow2Kernel::ALL {
             let n = 256;
             let batch = 5;
-            let plan = FftPlan::new_with_kernel(n, Direction::Forward, kernel);
+            let plan = serial_kernel(n, kernel);
             let src = uniform_signal(n * batch, 11);
             let mut s = vec![Complex64::ZERO; plan.scratch_len()];
 

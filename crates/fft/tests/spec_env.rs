@@ -2,11 +2,10 @@
 //! [`FftSpec::resolve`]: **explicit builder > env > heuristic**, the
 //! contract documented on [`FftSpec`].
 //!
-//! The unit tests inside the crate exercise the `force_*` atomics (safe
-//! under the parallel test harness); this integration binary is the one
-//! place that actually mutates the process environment, so the tests
-//! serialize on [`ENV_LOCK`] — the harness runs them on separate threads
-//! and `set_var`/`remove_var` are process-global.
+//! This integration binary is the one place that mutates the process
+//! environment for the planner knobs, so the tests serialize on
+//! [`ENV_LOCK`] — the harness runs them on separate threads and
+//! `set_var`/`remove_var` are process-global.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -102,13 +101,12 @@ fn env_tier_precedence_through_resolve() {
         assert_eq!(spec().resolve().layout, Some(Layout::Soa));
     });
 
-    // The builder tier is the A/B primitive: split-radix SoA is honored
-    // verbatim even though both the env and heuristic tiers pin
-    // split-radix away from SoA.
-    with_env(&[(LAYOUT_ENV, "aos")], || {
+    // Split-radix is AoS-only in every tier: an explicit split-radix SoA
+    // request resolves AoS, under any env layout.
+    with_env(&[(LAYOUT_ENV, "soa")], || {
         let r = spec().with_kernel(Pow2Kernel::SplitRadix).with_layout(Layout::Soa).resolve();
         assert_eq!(r.kernel, Some(Pow2Kernel::SplitRadix));
-        assert_eq!(r.layout, Some(Layout::Soa));
+        assert_eq!(r.layout, Some(Layout::Aos));
     });
 }
 

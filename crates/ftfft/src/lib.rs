@@ -53,8 +53,8 @@ pub use ftfft_stream as stream;
 pub mod prelude {
     pub use ftfft_checksum::{crc32, crc32_f64s, Crc32};
     pub use ftfft_core::{
-        BatchWorkspace, FtConfig, FtFftPlan, FtReport, FusedPolicy, InPlaceFtPlan, PlanSpec,
-        PlanSpecBuilder, RealFtFftPlan, RealWorkspace, Scheme, Workspace,
+        BatchWorkspace, FtFftPlan, FtReport, FusedPolicy, InPlaceFtPlan, PlanSpec, PlanSpecBuilder,
+        RealFtFftPlan, RealWorkspace, Scheme, Workspace,
     };
     pub use ftfft_fault::{
         ByteFaultInjector, ByteFaultKind, ByteRegion, Component, FaultInjector, FaultKind,
@@ -62,9 +62,9 @@ pub mod prelude {
         RandomInjector, RandomKind, ScriptedFault, ScriptedInjector, Site,
     };
     pub use ftfft_fft::{
-        batch_break_even, dft_naive, fft, force_layout, force_strategy, ifft, irfft, normalize,
-        rfft, Direction, FftPlan, FftSpec, Layout, Planner, Pow2Kernel, RealFftPlan, Strategy,
-        KERNEL_ENV, LAYOUT_ENV, PARALLEL_MIN, STRATEGY_ENV,
+        batch_break_even, dft_naive, fft, ifft, irfft, normalize, rfft, Direction, FftPlan,
+        FftSpec, Layout, Planner, Pow2Kernel, RealFftPlan, Strategy, KERNEL_ENV, LAYOUT_ENV,
+        PARALLEL_MIN, STRATEGY_ENV,
     };
     pub use ftfft_numeric::{
         inf_norm, normal_signal, relative_error_inf, simd_level, uniform_signal, Complex64,
@@ -99,7 +99,8 @@ mod tests {
         let n = 256;
         let mut x = uniform_signal(n, 1);
         let mut out = vec![Complex64::ZERO; n];
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineCompOpt));
+        let plan =
+            FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineCompOpt).build());
         let rep = plan.execute_alloc(&mut x, &mut out, &NoFaults);
         assert!(rep.is_clean());
         let want = dft_naive(&x, Direction::Forward);

@@ -19,7 +19,7 @@
 //!    a pool of size 1 degenerates to a plain loop with zero overhead.
 //!
 //! Pool size resolution ([`resolve_threads`]), highest priority first:
-//! explicit configuration (`FtConfig::threads`), then the
+//! explicit configuration (`PlanSpec::threads`), then the
 //! `FTFFT_THREADS` environment variable, then
 //! [`std::thread::available_parallelism`].
 

@@ -44,7 +44,7 @@ use crate::pool::{chunk_range, resolve_threads, ThreadPool};
 
 /// A protected FFT plan bound to a persistent worker pool.
 ///
-/// Worker count: `FtConfig::threads` if set, else the `FTFFT_THREADS`
+/// Worker count: `PlanSpec::threads` if set, else the `FTFFT_THREADS`
 /// environment variable, else the machine's available parallelism
 /// (see [`resolve_threads`]).
 pub struct PooledFtFft {
@@ -83,7 +83,7 @@ pub struct PooledWorkspace {
 impl PooledFtFft {
     /// Wraps `plan`, spawning the plan's worker pool.
     pub fn new(plan: FtFftPlan) -> Self {
-        let pool = ThreadPool::new(resolve_threads(plan.cfg().threads));
+        let pool = ThreadPool::new(resolve_threads(plan.spec().threads()));
         let reg = ftfft_obs::global();
         PooledFtFft {
             plan,
@@ -145,7 +145,7 @@ impl PooledFtFft {
         ws: &mut PooledWorkspace,
     ) -> FtReport {
         let plan = &self.plan;
-        let optimized = match plan.cfg().scheme {
+        let optimized = match plan.spec().scheme() {
             Scheme::OnlineCompOpt => true,
             Scheme::OnlineComp => false,
             _ => return plan.execute(x, out, injector, &mut ws.main),
@@ -345,13 +345,12 @@ impl PooledFtFft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftfft_core::FtConfig;
+    use ftfft_core::PlanSpec;
     use ftfft_fault::{FaultKind, NoFaults, Part, ScriptedFault, ScriptedInjector};
-    use ftfft_fft::Direction;
     use ftfft_numeric::uniform_signal;
 
     fn serial_run(scheme: Scheme, n: usize, inj: &dyn FaultInjector) -> (Vec<Complex64>, FtReport) {
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(scheme));
+        let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(scheme).build());
         let mut x = uniform_signal(n, 5);
         let mut out = vec![Complex64::ZERO; n];
         let mut ws = plan.make_workspace();
@@ -366,7 +365,7 @@ mod tests {
         inj: &dyn FaultInjector,
     ) -> (Vec<Complex64>, FtReport) {
         let plan =
-            FtFftPlan::new(n, Direction::Forward, FtConfig::new(scheme).with_threads(threads));
+            FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(scheme).threads(threads).build());
         let pooled = PooledFtFft::new(plan);
         assert_eq!(pooled.threads(), threads);
         let mut x = uniform_signal(n, 5);
@@ -465,17 +464,15 @@ mod tests {
         let n = 1 << 8;
         let batch = 5;
         let src = uniform_signal(n * batch, 9);
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
+        let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build());
         let mut ws = plan.make_workspace();
         let mut xs = src.clone();
         let mut want = vec![Complex64::ZERO; n * batch];
         let want_rep = plan.execute_batch(&mut xs, &mut want, &NoFaults, &mut ws);
 
         for threads in [2usize, 3, 8] {
-            let plan = FtFftPlan::new(
-                n,
-                Direction::Forward,
-                FtConfig::new(Scheme::OnlineMemOpt).with_threads(threads),
+            let plan = FtFftPlan::from_spec(
+                &PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).threads(threads).build(),
             );
             let pooled = PooledFtFft::new(plan);
             let mut pws = pooled.make_batch_workspace();
@@ -499,10 +496,8 @@ mod tests {
                 FaultKind::AddDelta { re: 5e-2, im: 0.0 },
             )]
         };
-        let plan = FtFftPlan::new(
-            n,
-            Direction::Forward,
-            FtConfig::new(Scheme::OnlineMemOpt).with_threads(3),
+        let plan = FtFftPlan::from_spec(
+            &PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).threads(3).build(),
         );
         let pooled = PooledFtFft::new(plan);
         let mut pws = pooled.make_batch_workspace();

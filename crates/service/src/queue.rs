@@ -580,7 +580,7 @@ fn run_batch(inner: &Inner, batch: PendingBatch, workspaces: &mut HashMap<PlanSp
     inner.batches.fetch_add(1, Ordering::Relaxed);
     inner.batched_requests.fetch_add(size as u64, Ordering::Relaxed);
     inner.max_batch_seen.fetch_max(size as u64, Ordering::Relaxed);
-    if plan.cfg().scheme == Scheme::BatchChecksum {
+    if plan.spec().scheme() == Scheme::BatchChecksum {
         run_batch_checksum(inner, plan, n, batch.reqs, size, ws);
         return;
     }

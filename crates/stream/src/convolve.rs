@@ -20,7 +20,7 @@
 //! stream position and the batched executors are bitwise equal to looped
 //! single executions.
 
-use ftfft_core::{FtConfig, FtFftPlan, PlanSpec, RealFtFftPlan, RealWorkspace, Workspace};
+use ftfft_core::{FtFftPlan, PlanSpec, RealFtFftPlan, RealWorkspace, Workspace};
 use ftfft_fault::{FaultInjector, NoFaults};
 use ftfft_fft::Direction;
 use ftfft_numeric::{simd, Complex64};
@@ -73,14 +73,6 @@ pub struct StreamingConvolver {
 }
 
 impl StreamingConvolver {
-    /// Builds a convolver with an automatic FFT size
-    /// (`max(16, 4·taps.len())` rounded up to a power of two) — a thin
-    /// wrapper bridging `cfg` into a [`PlanSpec`] for
-    /// [`StreamingConvolver::from_spec`].
-    pub fn new(taps: &[f64], cfg: FtConfig) -> Self {
-        Self::from_spec(taps, &PlanSpec::from_config(0, Direction::Forward, cfg))
-    }
-
     /// Builds a convolver from a spec with an automatic FFT size
     /// (`max(16, 4·taps.len())` rounded up to a power of two). The
     /// spec's `n` and direction are ignored — the frame size comes from
@@ -88,17 +80,6 @@ impl StreamingConvolver {
     pub fn from_spec(taps: &[f64], spec: &PlanSpec) -> Self {
         let n = (4 * taps.len()).next_power_of_two().max(16);
         Self::from_spec_with_fft_size(taps, n, spec)
-    }
-
-    /// Builds a convolver over `fft_size`-sample frames — a thin wrapper
-    /// bridging `cfg` into a [`PlanSpec`] for
-    /// [`StreamingConvolver::from_spec_with_fft_size`].
-    pub fn with_fft_size(taps: &[f64], fft_size: usize, cfg: FtConfig) -> Self {
-        Self::from_spec_with_fft_size(
-            taps,
-            fft_size,
-            &PlanSpec::from_config(fft_size, Direction::Forward, cfg),
-        )
     }
 
     /// Builds a convolver from a spec over `fft_size`-sample frames
@@ -339,30 +320,12 @@ pub struct ComplexStreamingConvolver {
 }
 
 impl ComplexStreamingConvolver {
-    /// Builds a complex convolver with an automatic power-of-two FFT size
-    /// — a thin wrapper bridging `cfg` into a [`PlanSpec`] for
-    /// [`ComplexStreamingConvolver::from_spec`].
-    pub fn new(taps: &[Complex64], cfg: FtConfig) -> Self {
-        Self::from_spec(taps, &PlanSpec::from_config(0, Direction::Forward, cfg))
-    }
-
     /// Builds a complex convolver from a spec with an automatic
     /// power-of-two FFT size. The spec's `n` and direction are ignored —
     /// the frame size comes from the taps, and both directions are built.
     pub fn from_spec(taps: &[Complex64], spec: &PlanSpec) -> Self {
         let n = (4 * taps.len()).next_power_of_two().max(16);
         Self::from_spec_with_fft_size(taps, n, spec)
-    }
-
-    /// Builds a complex convolver over `fft_size`-sample frames — a thin
-    /// wrapper bridging `cfg` into a [`PlanSpec`] for
-    /// [`ComplexStreamingConvolver::from_spec_with_fft_size`].
-    pub fn with_fft_size(taps: &[Complex64], fft_size: usize, cfg: FtConfig) -> Self {
-        Self::from_spec_with_fft_size(
-            taps,
-            fft_size,
-            &PlanSpec::from_config(fft_size, Direction::Forward, cfg),
-        )
     }
 
     /// Builds a complex convolver from a spec over `fft_size`-sample
@@ -575,8 +538,11 @@ mod tests {
         let x = real_signal(300, 2);
         let want = convolve_direct(&x, &taps);
 
-        let mut conv =
-            StreamingConvolver::with_fft_size(&taps, 64, FtConfig::new(Scheme::OnlineMemOpt));
+        let mut conv = StreamingConvolver::from_spec_with_fft_size(
+            &taps,
+            64,
+            &PlanSpec::builder(64).scheme(Scheme::OnlineMemOpt).build(),
+        );
         let mut got = vec![0.0; want.len() + conv.hop()];
         let p = conv.process_into(&x, &mut got, &NoFaults);
         let tail = {
@@ -601,8 +567,11 @@ mod tests {
         let taps = real_signal(13, 3);
         let x = real_signal(120, 4);
         let want = convolve_direct(&x, &taps);
-        let mut conv =
-            StreamingConvolver::with_fft_size(&taps, 16, FtConfig::new(Scheme::OnlineCompOpt));
+        let mut conv = StreamingConvolver::from_spec_with_fft_size(
+            &taps,
+            16,
+            &PlanSpec::builder(16).scheme(Scheme::OnlineCompOpt).build(),
+        );
         assert!(conv.hop() < taps.len() - 1);
         let mut got = vec![0.0; want.len() + conv.hop()];
         let p = conv.process_into(&x, &mut got, &NoFaults);
@@ -623,10 +592,10 @@ mod tests {
                 want[i + j] += a * b;
             }
         }
-        let mut conv = ComplexStreamingConvolver::with_fft_size(
+        let mut conv = ComplexStreamingConvolver::from_spec_with_fft_size(
             &taps,
             32,
-            FtConfig::new(Scheme::OnlineMemOpt),
+            &PlanSpec::builder(32).scheme(Scheme::OnlineMemOpt).build(),
         );
         let mut got = vec![Complex64::ZERO; want.len() + conv.hop()];
         let p = conv.process_into(&x, &mut got, &NoFaults);

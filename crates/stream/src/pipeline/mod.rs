@@ -463,13 +463,12 @@ impl ProtectedPipeline {
 mod tests {
     use super::sync::encode_stream;
     use super::*;
-    use ftfft_core::{FtConfig, Scheme};
+    use ftfft_core::{PlanSpec, Scheme};
     use ftfft_fault::{NoByteFaults, NoFaults, PanicInjector, PanicPoint};
-    use ftfft_fft::Direction;
     use ftfft_numeric::uniform_signal;
 
     fn spec(n: usize, scheme: Scheme) -> PlanSpec {
-        PlanSpec::from_config(n, Direction::Forward, FtConfig::new(scheme))
+        PlanSpec::builder(n).scheme(scheme).build()
     }
 
     fn real_signal(len: usize, seed: u64) -> Vec<f64> {

@@ -181,7 +181,7 @@ impl FrameTransform for FirFilterStage {
 mod tests {
     use super::*;
     use crate::convolve::StreamingConvolver;
-    use ftfft_core::{FtConfig, Scheme};
+    use ftfft_core::{PlanSpec, Scheme};
     use ftfft_numeric::uniform_signal;
 
     fn real_signal(len: usize, seed: u64) -> Vec<f64> {
@@ -189,7 +189,7 @@ mod tests {
     }
 
     fn spec(n: usize, scheme: Scheme) -> PlanSpec {
-        PlanSpec::from_config(n, Direction::Forward, FtConfig::new(scheme))
+        PlanSpec::builder(n).scheme(scheme).build()
     }
 
     #[test]
@@ -245,8 +245,11 @@ mod tests {
             history = input[input.len() - (taps.len() - 1)..].to_vec();
         }
 
-        let mut conv =
-            StreamingConvolver::with_fft_size(&taps, n, FtConfig::new(Scheme::OnlineMemOpt));
+        let mut conv = StreamingConvolver::from_spec_with_fft_size(
+            &taps,
+            n,
+            &PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build(),
+        );
         let mut theirs = vec![0.0; hop * frames];
         let produced = conv.process_into(&x, &mut theirs, &NoFaults);
         assert_eq!(produced, hop * frames);

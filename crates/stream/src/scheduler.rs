@@ -154,7 +154,7 @@ impl FrameScheduler {
 mod tests {
     use super::*;
     use crate::window::Window;
-    use ftfft_core::{FtConfig, Scheme};
+    use ftfft_core::{PlanSpec, Scheme};
     use ftfft_fault::{FaultKind, NoFaults, Part, ScriptedFault, ScriptedInjector, Site};
     use ftfft_numeric::uniform_signal;
 
@@ -176,7 +176,11 @@ mod tests {
     #[test]
     fn pooled_analysis_matches_serial_bitwise() {
         for scheme in [Scheme::Plain, Scheme::OnlineCompOpt, Scheme::OnlineMemOpt] {
-            let plan = StftPlan::new(128, 32, Window::Hann, FtConfig::new(scheme));
+            let plan = StftPlan::from_spec(
+                &PlanSpec::builder(128).scheme(scheme).build(),
+                32,
+                Window::Hann,
+            );
             let x = real_signal(plan.signal_len(13), 5);
             let (want, want_rep) = serial_spectrogram(&plan, &x, &NoFaults);
             for threads in [1usize, 2, 3, 5] {
@@ -193,7 +197,11 @@ mod tests {
 
     #[test]
     fn pooled_analysis_detects_scripted_faults_with_identical_totals() {
-        let plan = StftPlan::new(128, 64, Window::Hann, FtConfig::new(Scheme::OnlineMemOpt));
+        let plan = StftPlan::from_spec(
+            &PlanSpec::builder(128).scheme(Scheme::OnlineMemOpt).build(),
+            64,
+            Window::Hann,
+        );
         let x = real_signal(plan.signal_len(8), 9);
         let faults = || {
             vec![ScriptedFault::new(

@@ -13,7 +13,7 @@
 //! `FtFftPlan::execute_batch` in groups (bitwise identical to one-at-a-
 //! time execution).
 
-use ftfft_core::{FtConfig, PlanSpec, RealFtFftPlan, RealWorkspace};
+use ftfft_core::{PlanSpec, RealFtFftPlan, RealWorkspace};
 use ftfft_fault::FaultInjector;
 use ftfft_fft::Direction;
 use ftfft_numeric::Complex64;
@@ -55,18 +55,6 @@ pub struct StftWorkspace {
 }
 
 impl StftPlan {
-    /// Plans an STFT over `fft_size`-sample frames advancing by `hop` — a
-    /// thin wrapper bridging `cfg` into a [`PlanSpec`] for
-    /// [`StftPlan::from_spec`].
-    ///
-    /// # Panics
-    /// Panics if `fft_size` is odd or `< 4`, `hop` is zero or exceeds
-    /// `fft_size`, or the window/hop pair fails the COLA test (overlap-add
-    /// resynthesis would ripple).
-    pub fn new(fft_size: usize, hop: usize, window: Window, cfg: FtConfig) -> Self {
-        Self::from_spec(&PlanSpec::from_config(fft_size, Direction::Forward, cfg), hop, window)
-    }
-
     /// Plans the STFT described by `spec` (whose `n` is the frame/FFT
     /// size), advancing by `hop`. Both the analysis and synthesis plans
     /// are built from the spec — its direction is ignored — with σ₀
@@ -74,7 +62,9 @@ impl StftPlan {
     /// spectra.
     ///
     /// # Panics
-    /// Same conditions as [`StftPlan::new`].
+    /// Panics if `spec.n()` is odd or `< 4`, `hop` is zero or exceeds it,
+    /// or the window/hop pair fails the COLA test (overlap-add resynthesis
+    /// would ripple).
     pub fn from_spec(spec: &PlanSpec, hop: usize, window: Window) -> Self {
         let fft_size = spec.n();
         assert!(
@@ -335,7 +325,11 @@ mod tests {
     #[test]
     fn round_trip_is_exact_where_windows_cover() {
         for (window, hop) in [(Window::Hann, 64), (Window::Hamming, 32), (Window::Rect, 256)] {
-            let plan = StftPlan::new(256, hop, window, FtConfig::new(Scheme::OnlineMemOpt));
+            let plan = StftPlan::from_spec(
+                &PlanSpec::builder(256).scheme(Scheme::OnlineMemOpt).build(),
+                hop,
+                window,
+            );
             let len = plan.signal_len(17);
             let x = real_signal(len, 7);
             let mut ws = plan.make_workspace();
@@ -365,12 +359,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "not COLA")]
     fn non_cola_pair_rejected() {
-        let _ = StftPlan::new(256, 100, Window::Hann, FtConfig::new(Scheme::Plain));
+        let _ = StftPlan::from_spec(&PlanSpec::builder(256).build(), 100, Window::Hann);
     }
 
     #[test]
     fn frame_accounting() {
-        let plan = StftPlan::new(64, 16, Window::Hann, FtConfig::new(Scheme::Plain));
+        let plan = StftPlan::from_spec(&PlanSpec::builder(64).build(), 16, Window::Hann);
         assert_eq!(plan.num_frames(63), 0);
         assert_eq!(plan.num_frames(64), 1);
         assert_eq!(plan.num_frames(64 + 16), 2);
@@ -380,7 +374,11 @@ mod tests {
 
     #[test]
     fn single_frame_path_matches_batched_bitwise() {
-        let plan = StftPlan::new(128, 32, Window::Hann, FtConfig::new(Scheme::OnlineCompOpt));
+        let plan = StftPlan::from_spec(
+            &PlanSpec::builder(128).scheme(Scheme::OnlineCompOpt).build(),
+            32,
+            Window::Hann,
+        );
         let len = plan.signal_len(9);
         let x = real_signal(len, 3);
         let frames = plan.num_frames(len);

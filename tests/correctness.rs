@@ -14,7 +14,7 @@ fn all_schemes_match_naive_dft_power_of_two() {
     for n in [64usize, 256, 1024, 4096] {
         let (x, want) = reference(n, 5, Direction::Forward);
         for scheme in Scheme::ALL {
-            let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(scheme));
+            let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(scheme).build());
             let mut xin = x.clone();
             let mut out = vec![Complex64::ZERO; n];
             let rep = plan.execute_alloc(&mut xin, &mut out, &NoFaults);
@@ -35,7 +35,7 @@ fn schemes_match_naive_dft_non_power_sizes() {
     for n in [100usize, 196, 400, 484] {
         let (x, want) = reference(n, 9, Direction::Forward);
         for scheme in [Scheme::Offline, Scheme::OnlineCompOpt, Scheme::OnlineMemOpt] {
-            let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(scheme));
+            let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(scheme).build());
             let mut xin = x.clone();
             let mut out = vec![Complex64::ZERO; n];
             let rep = plan.execute_alloc(&mut xin, &mut out, &NoFaults);
@@ -50,15 +50,17 @@ fn schemes_match_naive_dft_non_power_sizes() {
 fn inverse_direction_round_trip_through_protected_plans() {
     let n = 2048;
     let x = uniform_signal(n, 3);
-    let fwd = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
+    let fwd = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build());
     // The inverse transform's input is a forward-FFT output, whose
     // components are √N larger than the original signal — the threshold
     // model needs the actual input scale.
     let sigma_spec = SignalDist::Uniform.component_std_dev() * (n as f64).sqrt();
-    let inv = FtFftPlan::new(
-        n,
-        Direction::Inverse,
-        FtConfig::new(Scheme::OnlineMemOpt).with_sigma0(sigma_spec),
+    let inv = FtFftPlan::from_spec(
+        &PlanSpec::builder(n)
+            .direction(Direction::Inverse)
+            .scheme(Scheme::OnlineMemOpt)
+            .sigma0(sigma_spec)
+            .build(),
     );
     let mut a = x.clone();
     let mut mid = vec![Complex64::ZERO; n];
@@ -74,8 +76,8 @@ fn explicit_split_overrides_are_respected_and_correct() {
     let n = 4096;
     let (x, want) = reference(n, 8, Direction::Forward);
     for k in [2usize, 16, 64, 256] {
-        let cfg = FtConfig::new(Scheme::OnlineMemOpt).with_split_k(k);
-        let plan = FtFftPlan::new(n, Direction::Forward, cfg);
+        let spec = PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).split_k(k).build();
+        let plan = FtFftPlan::from_spec(&spec);
         assert_eq!(plan.two().k(), k);
         let mut xin = x.clone();
         let mut out = vec![Complex64::ZERO; n];
@@ -90,9 +92,11 @@ fn normal_distribution_inputs_also_clean() {
     let n = 1024;
     let x = normal_signal(n, 4);
     let want = dft_naive(&x, Direction::Forward);
-    let cfg =
-        FtConfig::new(Scheme::OnlineMemOpt).with_sigma0(SignalDist::Normal.component_std_dev());
-    let plan = FtFftPlan::new(n, Direction::Forward, cfg);
+    let spec = PlanSpec::builder(n)
+        .scheme(Scheme::OnlineMemOpt)
+        .sigma0(SignalDist::Normal.component_std_dev())
+        .build();
+    let plan = FtFftPlan::from_spec(&spec);
     let mut xin = x.clone();
     let mut out = vec![Complex64::ZERO; n];
     let rep = plan.execute_alloc(&mut xin, &mut out, &NoFaults);
@@ -103,7 +107,7 @@ fn normal_distribution_inputs_also_clean() {
 #[test]
 fn repeated_executions_reuse_workspace_deterministically() {
     let n = 512;
-    let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
+    let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build());
     let mut ws = plan.make_workspace();
     let x = uniform_signal(n, 6);
     let mut out1 = vec![Complex64::ZERO; n];

@@ -11,7 +11,7 @@ fn run(
 ) -> (Vec<Complex64>, Vec<Complex64>, FtReport, ScriptedInjector) {
     let x = uniform_signal(N, 77);
     let want = dft_naive(&x, Direction::Forward);
-    let plan = FtFftPlan::new(N, Direction::Forward, FtConfig::new(scheme));
+    let plan = FtFftPlan::from_spec(&PlanSpec::builder(N).scheme(scheme).build());
     let inj = ScriptedInjector::new(faults);
     let mut xin = x;
     let mut out = vec![Complex64::ZERO; N];
@@ -21,7 +21,7 @@ fn run(
 
 #[test]
 fn every_first_part_subfft_index_is_protected() {
-    let plan = FtFftPlan::new(N, Direction::Forward, FtConfig::new(Scheme::OnlineCompOpt));
+    let plan = FtFftPlan::from_spec(&PlanSpec::builder(N).scheme(Scheme::OnlineCompOpt).build());
     let k = plan.two().k();
     for index in (0..k).step_by(7) {
         let (out, want, rep, inj) = run(
@@ -40,7 +40,7 @@ fn every_first_part_subfft_index_is_protected() {
 
 #[test]
 fn every_second_part_subfft_index_is_protected() {
-    let plan = FtFftPlan::new(N, Direction::Forward, FtConfig::new(Scheme::OnlineCompOpt));
+    let plan = FtFftPlan::from_spec(&PlanSpec::builder(N).scheme(Scheme::OnlineCompOpt).build());
     let m = plan.two().m();
     for index in (0..m).step_by(5) {
         let (out, want, rep, inj) = run(
@@ -171,7 +171,7 @@ fn detection_threshold_gap_offline_vs_online() {
 
 #[test]
 fn random_campaign_no_silent_output_corruption() {
-    let plan = FtFftPlan::new(N, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
+    let plan = FtFftPlan::from_spec(&PlanSpec::builder(N).scheme(Scheme::OnlineMemOpt).build());
     let mut ws = plan.make_workspace();
     let x = uniform_signal(N, 1);
     let mut clean = vec![Complex64::ZERO; N];

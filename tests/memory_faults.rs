@@ -12,7 +12,7 @@ fn run_mem(
 ) -> (Vec<Complex64>, Vec<Complex64>, FtReport) {
     let x = uniform_signal(N, 3);
     let want = dft_naive(&x, Direction::Forward);
-    let plan = FtFftPlan::new(N, Direction::Forward, FtConfig::new(scheme));
+    let plan = FtFftPlan::from_spec(&PlanSpec::builder(N).scheme(scheme).build());
     let inj = ScriptedInjector::new(faults);
     let mut xin = x;
     let mut out = vec![Complex64::ZERO; N];
@@ -86,8 +86,8 @@ fn bit_flips_across_the_exponent_range() {
     // ~1e16); give the retry loop budget for the big exponent bits.
     let x = uniform_signal(N, 3);
     let want = dft_naive(&x, Direction::Forward);
-    let cfg = FtConfig::new(Scheme::OnlineMemOpt).with_max_retries(30);
-    let plan = FtFftPlan::new(N, Direction::Forward, cfg);
+    let spec = PlanSpec::builder(N).scheme(Scheme::OnlineMemOpt).max_retries(30).build();
+    let plan = FtFftPlan::from_spec(&spec);
     for bit in [52u8, 54, 56, 58, 60, 63] {
         for component in [Component::Re, Component::Im] {
             let inj = ScriptedInjector::new(vec![ScriptedFault::new(
@@ -114,8 +114,8 @@ fn overflow_class_bit_flips_detected_but_may_stay_uncorrected() {
     // detect this but location/size decoding degenerates — the paper's
     // Table 6 "Uncorrected" bucket (2.5% for the online scheme).
     let x = uniform_signal(N, 3);
-    let cfg = FtConfig::new(Scheme::OnlineMemOpt).with_max_retries(5);
-    let plan = FtFftPlan::new(N, Direction::Forward, cfg);
+    let spec = PlanSpec::builder(N).scheme(Scheme::OnlineMemOpt).max_retries(5).build();
+    let plan = FtFftPlan::from_spec(&spec);
     let inj = ScriptedInjector::new(vec![ScriptedFault::new(
         Site::InputMemory,
         321,

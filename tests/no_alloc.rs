@@ -43,15 +43,23 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serialized() -> std::sync::MutexGuard<'static, ()> {
-    // Pin the serial execution strategy for every plan this binary
-    // builds: the no-allocation contract covers the serial schedule,
-    // while the multi-worker parallel DIT spawns scoped threads per
-    // execute by design (a forced `FTFFT_STRATEGY=parallel` CI leg
-    // would otherwise route these plans through it). The explicit
-    // `FftPlan::new_parallel(_, _, 1)` test below bypasses the planner
-    // heuristic, so it is unaffected by this pin.
-    force_strategy(Some(Strategy::Serial));
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+// Every plan below pins the serial execution strategy: the
+// no-allocation contract covers the serial schedule, while the
+// multi-worker parallel DIT spawns scoped threads per execute by design
+// (an `FTFFT_STRATEGY=parallel` CI leg would otherwise route these plans
+// through it). The single-worker parallel test pins its own strategy.
+
+/// A protected spec pinned to the serial strategy.
+fn serial_spec(n: usize, scheme: Scheme) -> PlanSpecBuilder {
+    PlanSpec::builder(n).scheme(scheme).strategy(Strategy::Serial)
+}
+
+/// A plain spec pinned to the serial strategy.
+fn serial_fft_spec(n: usize) -> FftSpec {
+    FftSpec::new(n, Direction::Forward).with_strategy(Strategy::Serial)
 }
 
 /// Runs `f` several times and returns the *minimum* allocation count of
@@ -78,7 +86,7 @@ fn protected_execute_is_allocation_free_after_warmup() {
     let _serial = serialized();
     for scheme in Scheme::ALL {
         for n in SIZES {
-            let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(scheme));
+            let plan = FtFftPlan::from_spec(&serial_spec(n, scheme).build());
             let mut ws = plan.make_workspace();
             let x = uniform_signal(n, 7);
             let mut xin = x.clone();
@@ -103,7 +111,7 @@ fn plain_fft_plan_execute_is_allocation_free() {
     let _serial = serialized();
     // 97 is prime → Bluestein; 360 → mixed-radix; 4096 → pow2.
     for n in [97usize, 360, 4096] {
-        let plan = FftPlan::new(n, Direction::Forward);
+        let plan = FftPlan::from_spec(&serial_fft_spec(n));
         let x = uniform_signal(n, 3);
         let mut dst = vec![Complex64::ZERO; n];
         let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
@@ -126,7 +134,9 @@ fn parallel_plan_single_worker_path_is_allocation_free() {
     // spawn scoped threads per execute (which allocate stacks by design)
     // and are deliberately outside this assertion.
     let n = 1 << 12;
-    let plan = FftPlan::new_parallel(n, Direction::Forward, 1);
+    let plan = FftPlan::from_spec(
+        &FftSpec::new(n, Direction::Forward).with_strategy(Strategy::Parallel).with_threads(1),
+    );
     let x = uniform_signal(n, 13);
     let mut dst = vec![Complex64::ZERO; n];
     let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
@@ -155,9 +165,12 @@ fn soa_layout_plans_are_allocation_free() {
     // Plain plans pinned to the split-complex engine: the deinterleave /
     // bit-reversal planes are carved from the caller's complex scratch,
     // so repeated executes must allocate nothing.
-    for kernel in Pow2Kernel::ALL {
+    // Split-radix is AoS-only, so the iterative kernels are the SoA ones.
+    for kernel in [Pow2Kernel::Radix2, Pow2Kernel::Radix4] {
         let n = 1 << 10;
-        let plan = FftPlan::new_with_kernel_layout(n, Direction::Forward, kernel, DataLayout::Soa);
+        let plan = FftPlan::from_spec(
+            &serial_fft_spec(n).with_kernel(kernel).with_layout(DataLayout::Soa),
+        );
         assert!(plan.supports_split());
         let x = uniform_signal(n, 11);
         let mut dst = vec![Complex64::ZERO; n];
@@ -174,11 +187,10 @@ fn soa_layout_plans_are_allocation_free() {
     // Protected execution with SoA sub-plans: the split gather planes
     // come out of the pre-sized workspace buffers (buf2 + fft scratch),
     // so the clean path stays allocation-free end to end.
-    force_layout(Some(DataLayout::Soa));
     let n = 1024;
-    let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
-    force_layout(None);
-    assert!(plan.two().inner_plan().supports_split(), "sub-plan should be SoA under forcing");
+    let plan =
+        FtFftPlan::from_spec(&serial_spec(n, Scheme::OnlineMemOpt).layout(DataLayout::Soa).build());
+    assert!(plan.two().inner_plan().supports_split(), "sub-plan should be SoA when pinned");
     let mut ws = plan.make_workspace();
     let x = uniform_signal(n, 12);
     let mut xin = x.clone();
@@ -198,7 +210,7 @@ fn soa_layout_plans_are_allocation_free() {
 fn real_plan_forward_is_allocation_free() {
     let _serial = serialized();
     let n = 512;
-    let plan = RealFtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
+    let plan = RealFtFftPlan::from_spec(&serial_spec(n, Scheme::OnlineMemOpt).build());
     let mut ws = plan.make_workspace();
     let x: Vec<f64> = uniform_signal(n, 2).iter().map(|z| z.re).collect();
     let mut spec = vec![Complex64::ZERO; plan.spectrum_len()];
@@ -216,8 +228,11 @@ fn real_plan_forward_is_allocation_free() {
 fn streaming_convolver_hot_loop_is_allocation_free() {
     let _serial = serialized();
     let taps: Vec<f64> = uniform_signal(9, 3).iter().map(|z| z.re).collect();
-    let mut conv =
-        StreamingConvolver::with_fft_size(&taps, 64, FtConfig::new(Scheme::OnlineMemOpt));
+    let mut conv = StreamingConvolver::from_spec_with_fft_size(
+        &taps,
+        64,
+        &serial_spec(64, Scheme::OnlineMemOpt).build(),
+    );
     let x: Vec<f64> = uniform_signal(10 * conv.hop(), 4).iter().map(|z| z.re).collect();
     let mut out = vec![0.0; x.len() + conv.hop()];
     // Warm-up covers lazy SIMD dispatch and the first batch flush.
@@ -236,7 +251,8 @@ fn streaming_convolver_hot_loop_is_allocation_free() {
 #[test]
 fn stft_analysis_and_synthesis_are_allocation_free() {
     let _serial = serialized();
-    let plan = StftPlan::new(256, 128, Window::Hann, FtConfig::new(Scheme::OnlineMemOpt));
+    let plan =
+        StftPlan::from_spec(&serial_spec(256, Scheme::OnlineMemOpt).build(), 128, Window::Hann);
     let len = plan.signal_len(9);
     let x: Vec<f64> = uniform_signal(len, 5).iter().map(|z| z.re).collect();
     let mut ws = plan.make_workspace();
@@ -257,7 +273,7 @@ fn batched_execute_is_allocation_free() {
     let _serial = serialized();
     let n = 256;
     let batch = 4;
-    let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
+    let plan = FtFftPlan::from_spec(&serial_spec(n, Scheme::OnlineMemOpt).build());
     let mut ws = plan.make_workspace();
     let src = uniform_signal(n * batch, 5);
     let mut xs = src.clone();

@@ -13,6 +13,19 @@ use ftfft::prelude::*;
 use proptest::prelude::*;
 use proptest::Strategy;
 
+/// A serial plan with the kernel pinned and, when given, the layout.
+fn serial_plan(n: usize, dir: Direction, kernel: Pow2Kernel, layout: Option<Layout>) -> FftPlan {
+    let spec = FftSpec::new(n, dir).with_kernel(kernel).with_strategy(FftStrategy::Serial);
+    FftPlan::from_spec(&FftSpec { layout, ..spec })
+}
+
+/// The two-halves parallel DIT on exactly `threads` workers.
+fn parallel_plan(n: usize, dir: Direction, threads: usize) -> FftPlan {
+    FftPlan::from_spec(
+        &FftSpec::new(n, dir).with_strategy(FftStrategy::Parallel).with_threads(threads),
+    )
+}
+
 fn arb_signal(max_log2: u32) -> impl proptest::Strategy<Value = Vec<Complex64>> {
     (1u32..=max_log2).prop_flat_map(|log2n| {
         let n = 1usize << log2n;
@@ -118,8 +131,8 @@ proptest! {
     #[test]
     fn protected_equals_plain_when_fault_free(x in arb_signal(9)) {
         let n = x.len();
-        let plain = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::Plain));
-        let prot = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
+        let plain = FtFftPlan::from_spec(&PlanSpec::builder(n).build());
+        let prot = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build());
         let mut a = x.clone();
         let mut out_a = vec![Complex64::ZERO; n];
         plain.execute_alloc(&mut a, &mut out_a, &NoFaults);
@@ -139,7 +152,8 @@ proptest! {
         magnitude in prop::sample::select(vec![1e-3f64, 1e-1, 1.0, 100.0]),
     ) {
         let n = x.len();
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineCompOpt));
+        let builder = PlanSpec::builder(n).scheme(Scheme::OnlineCompOpt);
+        let plan = FtFftPlan::from_spec(&builder.build());
         let k = plan.two().k();
         let idx = element % k;
         let inj = ScriptedInjector::new(vec![ScriptedFault::new(
@@ -198,7 +212,7 @@ proptest! {
         magnitude in prop::sample::select(vec![0.5f64, 3.0, 50.0]),
     ) {
         let n = 1usize << log2n;
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
+        let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build());
         let element = ((idx_frac * n as f64) as usize).min(n - 1);
         let site = match site_sel {
             0 => Site::InputMemory,
@@ -252,7 +266,7 @@ proptest! {
         let x = dist.generate(n, seed);
         let want = dft_naive(&x, Direction::Forward);
         for kernel in Pow2Kernel::ALL {
-            let plan = FftPlan::new_with_kernel(n, Direction::Forward, kernel);
+            let plan = serial_plan(n, Direction::Forward, kernel, None);
             let mut got = vec![Complex64::ZERO; n];
             let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
             plan.execute(&x, &mut got, &mut scratch);
@@ -355,7 +369,8 @@ proptest! {
         ];
         let x0 = uniform_signal(n, 5);
 
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineCompOpt));
+        let builder = PlanSpec::builder(n).scheme(Scheme::OnlineCompOpt);
+        let plan = FtFftPlan::from_spec(&builder.build());
         let k = plan.two().k();
         let inj = ScriptedInjector::new(mk_faults(k));
         let mut xs = x0.clone();
@@ -363,11 +378,7 @@ proptest! {
         let mut ws = plan.make_workspace();
         let want_rep = plan.execute(&mut xs, &mut want, &inj, &mut ws);
 
-        let pooled = PooledFtFft::new(FtFftPlan::new(
-            n,
-            Direction::Forward,
-            FtConfig::new(Scheme::OnlineCompOpt).with_threads(threads),
-        ));
+        let pooled = PooledFtFft::new(FtFftPlan::from_spec(&builder.threads(threads).build()));
         let inj2 = ScriptedInjector::new(mk_faults(k));
         let mut xp = x0.clone();
         let mut got = vec![Complex64::ZERO; n];
@@ -386,12 +397,12 @@ proptest! {
     fn pow2_kernels_agree_with_radix2(log2n in 1u32..=12, seed in 0u64..1024) {
         let n = 1usize << log2n;
         let x = uniform_signal(n, seed);
-        let r2 = FftPlan::new_with_kernel(n, Direction::Forward, Pow2Kernel::Radix2);
+        let r2 = serial_plan(n, Direction::Forward, Pow2Kernel::Radix2, None);
         let mut want = vec![Complex64::ZERO; n];
         let mut r2_scratch = vec![Complex64::ZERO; r2.scratch_len()];
         r2.execute(&x, &mut want, &mut r2_scratch);
         for kernel in [Pow2Kernel::Radix4, Pow2Kernel::SplitRadix] {
-            let plan = FftPlan::new_with_kernel(n, Direction::Forward, kernel);
+            let plan = serial_plan(n, Direction::Forward, kernel, None);
             let mut got = vec![Complex64::ZERO; n];
             let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
             plan.execute(&x, &mut got, &mut scratch);
@@ -409,7 +420,7 @@ proptest! {
         seed in 0u64..512,
     ) {
         let n = 1usize << log2n;
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
+        let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build());
         let src = uniform_signal(n * batch, seed);
 
         let mut xs = src.clone();
@@ -440,7 +451,7 @@ proptest! {
         magnitude in prop::sample::select(vec![0.5f64, 3.0, 50.0]),
     ) {
         let n = 1usize << log2n;
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
+        let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build());
         let faults = vec![
             ScriptedFault::new(
                 Site::InputMemory,
@@ -482,8 +493,9 @@ proptest! {
     }
 
     /// The split-complex (SoA) engine is bitwise identical to the AoS
-    /// kernels: every power-of-two kernel, 2^1–2^12, forward and inverse,
-    /// at both SIMD dispatch levels.
+    /// kernels: both iterative power-of-two kernels (split-radix is
+    /// AoS-only), 2^1–2^12, forward and inverse, at both SIMD dispatch
+    /// levels.
     #[test]
     fn soa_layout_bitwise_equals_aos_all_kernels(
         log2n in 1u32..=12,
@@ -494,13 +506,13 @@ proptest! {
         let dir = if forward == 1 { Direction::Forward } else { Direction::Inverse };
         let x = uniform_signal(n, seed);
         let run = |kernel: Pow2Kernel, layout: Layout| {
-            let plan = FftPlan::new_with_kernel_layout(n, dir, kernel, layout);
+            let plan = serial_plan(n, dir, kernel, Some(layout));
             let mut dst = vec![Complex64::ZERO; n];
             let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
             plan.execute(&x, &mut dst, &mut scratch);
             dst
         };
-        for kernel in Pow2Kernel::ALL {
+        for kernel in [Pow2Kernel::Radix2, Pow2Kernel::Radix4] {
             let at = |level: SimdLevel| {
                 ftfft::numeric::force_level(Some(level));
                 let out = (run(kernel, Layout::Aos), run(kernel, Layout::Soa));
@@ -541,7 +553,7 @@ proptest! {
         };
         ftfft::numeric::force_level(Some(level));
         let run_serial = |layout: Layout| {
-            let plan = FftPlan::new_with_kernel_layout(n, dir, Pow2Kernel::Radix2, layout);
+            let plan = serial_plan(n, dir, Pow2Kernel::Radix2, Some(layout));
             let mut dst = vec![Complex64::ZERO; n];
             let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
             plan.execute(&x, &mut dst, &mut scratch);
@@ -550,7 +562,7 @@ proptest! {
         let want_aos = run_serial(Layout::Aos);
         let want_soa = run_serial(Layout::Soa);
 
-        let plan = FftPlan::new_parallel(n, dir, threads);
+        let plan = parallel_plan(n, dir, threads);
         let mut got = vec![Complex64::ZERO; n];
         let mut scratch = vec![Complex64::ZERO; plan.scratch_len()];
         plan.execute(&x, &mut got, &mut scratch);
@@ -591,7 +603,7 @@ proptest! {
         ];
         let x0 = uniform_signal(n, 13 + element as u64);
 
-        let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(scheme));
+        let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(scheme).build());
         let (k, m) = (plan.two().k(), plan.two().m());
         let inj = ScriptedInjector::new(mk_faults(k, m));
         let mut xs = x0.clone();
@@ -600,11 +612,8 @@ proptest! {
         let want_rep = plan.execute(&mut xs, &mut want, &inj, &mut ws);
         prop_assert!(inj.exhausted());
 
-        let pooled = PooledFtFft::new(FtFftPlan::new(
-            n,
-            Direction::Forward,
-            FtConfig::new(scheme).with_threads(threads),
-        ));
+        let spec = PlanSpec::builder(n).scheme(scheme).threads(threads).build();
+        let pooled = PooledFtFft::new(FtFftPlan::from_spec(&spec));
         let inj2 = ScriptedInjector::new(mk_faults(k, m));
         let mut xp = x0.clone();
         let mut got = vec![Complex64::ZERO; n];
@@ -657,9 +666,8 @@ proptest! {
             ]
         };
         let run = |layout: Layout| {
-            force_layout(Some(layout));
-            let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(scheme));
-            force_layout(None);
+            let plan =
+                FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(scheme).layout(layout).build());
             let inj = ScriptedInjector::new(mk_faults(plan.two().k()));
             let mut x = src.clone();
             let mut out = vec![Complex64::ZERO; n];
@@ -690,12 +698,12 @@ fn parallel_strategy_bitwise_equals_serial_at_2_20() {
     let n = 1usize << 20;
     let x = uniform_signal(n, 0xF17F);
     for dir in [Direction::Forward, Direction::Inverse] {
-        let serial = FftPlan::new_with_kernel_layout(n, dir, Pow2Kernel::Radix2, Layout::Aos);
+        let serial = serial_plan(n, dir, Pow2Kernel::Radix2, Some(Layout::Aos));
         let mut want = vec![Complex64::ZERO; n];
         let mut scratch = vec![Complex64::ZERO; serial.scratch_len()];
         serial.execute(&x, &mut want, &mut scratch);
         for threads in [2usize, 5, 8] {
-            let plan = FftPlan::new_parallel(n, dir, threads);
+            let plan = parallel_plan(n, dir, threads);
             assert!(
                 FftStrategy::Auto.picks_parallel(n, threads),
                 "2^20 with {threads} workers must be above the auto cutoff"

@@ -31,7 +31,11 @@ fn stream_convolve(
     chunks: &[usize],
     injector: &dyn FaultInjector,
 ) -> (Vec<f64>, StreamReport) {
-    let mut conv = StreamingConvolver::with_fft_size(taps, fft_size, FtConfig::new(scheme));
+    let mut conv = StreamingConvolver::from_spec_with_fft_size(
+        taps,
+        fft_size,
+        &PlanSpec::builder(fft_size).scheme(scheme).build(),
+    );
     let mut out = vec![0.0; x.len() + taps.len() - 1 + conv.hop()];
     let mut consumed = 0;
     let mut produced = 0;
@@ -97,14 +101,14 @@ proptest! {
         let n = 1usize << log2n;
         let x = real_signal(n, seed);
         let real_plan =
-            RealFtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
+            RealFtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build());
         let mut rws = real_plan.make_workspace();
         let mut spec = vec![Complex64::ZERO; real_plan.spectrum_len()];
         let rep = real_plan.forward(&x, &mut spec, &NoFaults, &mut rws);
         prop_assert_eq!(rep.uncorrectable, 0);
 
         let complex_plan =
-            FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
+            FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build());
         let mut cws = complex_plan.make_workspace();
         let mut xc: Vec<Complex64> = x.iter().map(|&r| Complex64::new(r, 0.0)).collect();
         let mut want = vec![Complex64::ZERO; n];
@@ -129,7 +133,8 @@ proptest! {
     ) {
         let n = 128;
         let hop = n / (2 << hop_div.min(2));
-        let plan = StftPlan::new(n, hop, win, FtConfig::new(Scheme::OnlineMemOpt));
+        let spec = PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build();
+        let plan = StftPlan::from_spec(&spec, hop, win);
         let len = plan.signal_len(frames);
         let x = real_signal(len, seed);
         let mut ws = plan.make_workspace();
@@ -164,7 +169,8 @@ fn convolver_works_with_every_scheme() {
 #[test]
 fn stft_works_with_every_scheme() {
     for scheme in Scheme::ALL {
-        let plan = StftPlan::new(128, 64, Window::Hann, FtConfig::new(scheme));
+        let plan =
+            StftPlan::from_spec(&PlanSpec::builder(128).scheme(scheme).build(), 64, Window::Hann);
         let len = plan.signal_len(6);
         let x = real_signal(len, 3);
         let mut ws = plan.make_workspace();
@@ -258,7 +264,11 @@ fn convolver_corrects_memory_faults() {
 /// one bitwise after correction.
 #[test]
 fn stft_corrects_scripted_faults() {
-    let plan = StftPlan::new(256, 128, Window::Hann, FtConfig::new(Scheme::OnlineMemOpt));
+    let plan = StftPlan::from_spec(
+        &PlanSpec::builder(256).scheme(Scheme::OnlineMemOpt).build(),
+        128,
+        Window::Hann,
+    );
     let len = plan.signal_len(7);
     let x = real_signal(len, 11);
     let frames = plan.num_frames(len);
@@ -284,7 +294,11 @@ fn stft_corrects_scripted_faults() {
 /// engine bitwise (clean), with identical report totals under faults.
 #[test]
 fn scheduler_matches_serial_at_any_worker_count() {
-    let plan = StftPlan::new(128, 32, Window::Hamming, FtConfig::new(Scheme::OnlineMemOpt));
+    let plan = StftPlan::from_spec(
+        &PlanSpec::builder(128).scheme(Scheme::OnlineMemOpt).build(),
+        32,
+        Window::Hamming,
+    );
     let len = plan.signal_len(11);
     let x = real_signal(len, 13);
     let frames = plan.num_frames(len);

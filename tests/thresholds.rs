@@ -6,7 +6,7 @@ use ftfft::prelude::*;
 #[test]
 fn no_false_positives_over_many_seeds() {
     let n = 4096;
-    let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineMemOpt));
+    let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineMemOpt).build());
     let mut ws = plan.make_workspace();
     for seed in 0..40u64 {
         let mut x = uniform_signal(n, seed);
@@ -19,9 +19,11 @@ fn no_false_positives_over_many_seeds() {
 #[test]
 fn no_false_positives_with_normal_inputs() {
     let n = 4096;
-    let cfg =
-        FtConfig::new(Scheme::OnlineMemOpt).with_sigma0(SignalDist::Normal.component_std_dev());
-    let plan = FtFftPlan::new(n, Direction::Forward, cfg);
+    let spec = PlanSpec::builder(n)
+        .scheme(Scheme::OnlineMemOpt)
+        .sigma0(SignalDist::Normal.component_std_dev())
+        .build();
+    let plan = FtFftPlan::from_spec(&spec);
     let mut ws = plan.make_workspace();
     for seed in 0..20u64 {
         let mut x = ftfft::numeric::normal_signal(n, seed);
@@ -34,7 +36,7 @@ fn no_false_positives_with_normal_inputs() {
 #[test]
 fn observed_residuals_sit_below_model_thresholds() {
     let n = 4096;
-    let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineCompOpt));
+    let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineCompOpt).build());
     let th = *plan.thresholds();
     let mut ws = plan.make_workspace();
     let mut max1 = 0.0f64;
@@ -58,8 +60,12 @@ fn threshold_scale_zero_forces_detection_storm() {
     // "detected error"; the executor must still terminate (bounded
     // retries) and report the failures as uncorrectable.
     let n = 256;
-    let cfg = FtConfig::new(Scheme::OnlineCompOpt).with_threshold_scale(0.0).with_max_retries(1);
-    let plan = FtFftPlan::new(n, Direction::Forward, cfg);
+    let spec = PlanSpec::builder(n)
+        .scheme(Scheme::OnlineCompOpt)
+        .threshold_scale(0.0)
+        .max_retries(1)
+        .build();
+    let plan = FtFftPlan::from_spec(&spec);
     let mut x = uniform_signal(n, 1);
     let mut out = vec![Complex64::ZERO; n];
     let rep = plan.execute_alloc(&mut x, &mut out, &NoFaults);
@@ -80,7 +86,7 @@ fn throughput_model_matches_paper_constants() {
 fn calibrator_reproduces_table6_protocol() {
     // Fault-free runs → max residual → η with headroom → no false alarms.
     let n = 1024;
-    let plan = FtFftPlan::new(n, Direction::Forward, FtConfig::new(Scheme::OnlineCompOpt));
+    let plan = FtFftPlan::from_spec(&PlanSpec::builder(n).scheme(Scheme::OnlineCompOpt).build());
     let mut ws = plan.make_workspace();
     let mut cal = Calibrator::new();
     for seed in 0..10u64 {
